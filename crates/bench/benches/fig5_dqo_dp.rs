@@ -3,8 +3,8 @@
 //! end-to-end (plan + execute) time for the dense/unsorted cell.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dqo_core::optimizer::{optimize, OptimizerMode};
-use dqo_core::{execute, Catalog};
+use dqo_core::optimizer::{optimize, OptimizeRequest, OptimizerMode};
+use dqo_core::{execute, Catalog, ExecContext};
 use dqo_storage::datagen::ForeignKeySpec;
 use std::hint::black_box;
 
@@ -38,7 +38,8 @@ fn optimisation_time(c: &mut Criterion) {
                 &mode,
                 |b, &mode| {
                     b.iter(|| {
-                        let planned = optimize(black_box(&q), &cat, mode).expect("plans");
+                        let planned = optimize(black_box(&q), &OptimizeRequest::new(&cat, mode))
+                            .expect("plans");
                         black_box(planned.est_cost)
                     })
                 },
@@ -54,10 +55,10 @@ fn execution_time(c: &mut Criterion) {
     let cat = catalog(false, false, true);
     let q = dqo_plan::logical::example_query_4_3();
     for mode in [OptimizerMode::Shallow, OptimizerMode::Deep] {
-        let planned = optimize(&q, &cat, mode).expect("plans");
+        let planned = optimize(&q, &OptimizeRequest::new(&cat, mode)).expect("plans");
         group.bench_function(format!("{mode}"), |b| {
             b.iter(|| {
-                let out = execute(black_box(&planned.plan), &cat).expect("runs");
+                let out = execute(black_box(&planned.plan), &ExecContext::new(&cat)).expect("runs");
                 black_box(out.relation.rows())
             })
         });

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dqo_core::av::{plan_av, AvCatalog, AvKind, AvSignature};
-use dqo_core::optimizer::{optimize, optimize_with_avs, OptimizerMode};
+use dqo_core::optimizer::{optimize, OptimizeRequest, OptimizerMode};
 use dqo_core::Catalog;
 use dqo_plan::deep::enumerate_grouping_plans;
 use dqo_storage::datagen::ForeignKeySpec;
@@ -29,7 +29,7 @@ fn opt_time(c: &mut Criterion) {
         group.bench_function(format!("{mode}/plain"), |b| {
             b.iter(|| {
                 black_box(
-                    optimize(black_box(&q), &catalog, mode)
+                    optimize(black_box(&q), &OptimizeRequest::new(&catalog, mode))
                         .expect("plans")
                         .est_cost,
                 )
@@ -42,14 +42,12 @@ fn opt_time(c: &mut Criterion) {
     for kind in [AvKind::SortedProjection, AvKind::SphIndex] {
         avs.register(plan_av(&catalog, &AvSignature::new("R", "id", kind)).expect("plans"));
     }
+    let req = OptimizeRequest {
+        avs: Some(&avs),
+        ..OptimizeRequest::new(&catalog, OptimizerMode::Deep)
+    };
     group.bench_function("DQO/with_avs", |b| {
-        b.iter(|| {
-            black_box(
-                optimize_with_avs(black_box(&q), &catalog, OptimizerMode::Deep, &avs)
-                    .expect("plans")
-                    .est_cost,
-            )
-        })
+        b.iter(|| black_box(optimize(black_box(&q), &req).expect("plans").est_cost))
     });
 
     group.bench_function("unnest/full_gamma_space", |b| {

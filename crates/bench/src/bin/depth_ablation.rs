@@ -10,7 +10,8 @@
 
 use dqo_bench::report::Table;
 use dqo_bench::Args;
-use dqo_core::optimizer::{enumerate_candidates, optimize, OptimizerMode};
+use dqo_core::memo::{Memo, MemoOptimizer};
+use dqo_core::optimizer::{optimize, OptimizeRequest, OptimizerMode};
 use dqo_core::Catalog;
 use dqo_plan::deep::enumerate_grouping_plans;
 use dqo_plan::granule::Granularity;
@@ -62,12 +63,14 @@ fn main() {
     for mode in [OptimizerMode::Shallow, OptimizerMode::Deep] {
         let reps = 200;
         let start = Instant::now();
+        let req = OptimizeRequest::new(&catalog, mode);
         for _ in 0..reps {
-            let _ = optimize(&q, &catalog, mode).expect("plans");
+            let _ = optimize(&q, &req).expect("plans");
         }
         let micros = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        let planned = optimize(&q, &catalog, mode).expect("plans");
-        let kept = enumerate_candidates(&q, &catalog, mode)
+        let planned = optimize(&q, &req).expect("plans");
+        let kept = MemoOptimizer::new(&mut Memo::new(), &req, None)
+            .candidates(&q)
             .expect("enumerates")
             .len();
         table.row(vec![

@@ -3,8 +3,8 @@
 //! measured execution.
 
 use dqo_core::executor::sorted_rows;
-use dqo_core::optimizer::{optimize, OptimizerMode};
-use dqo_core::{execute, Catalog};
+use dqo_core::optimizer::{optimize, OptimizeRequest, OptimizerMode};
+use dqo_core::{execute, Catalog, ExecContext};
 use dqo_storage::datagen::ForeignKeySpec;
 use std::time::Instant;
 
@@ -99,16 +99,16 @@ pub fn run_cell(
     catalog.register("R", r);
     catalog.register("S", s);
     let q = dqo_plan::logical::example_query_4_3();
-    let sqo = optimize(&q, &catalog, OptimizerMode::Shallow).expect("plans");
-    let dqo = optimize(&q, &catalog, OptimizerMode::Deep).expect("plans");
+    let sqo = optimize(&q, &OptimizeRequest::new(&catalog, OptimizerMode::Shallow)).expect("plans");
+    let dqo = optimize(&q, &OptimizeRequest::new(&catalog, OptimizerMode::Deep)).expect("plans");
 
     let (mut sqo_ms, mut dqo_ms) = (None, None);
     if execute_plans {
         let t = Instant::now();
-        let a = execute(&sqo.plan, &catalog).expect("SQO executes");
+        let a = execute(&sqo.plan, &ExecContext::new(&catalog)).expect("SQO executes");
         sqo_ms = Some(t.elapsed().as_secs_f64() * 1e3);
         let t = Instant::now();
-        let b = execute(&dqo.plan, &catalog).expect("DQO executes");
+        let b = execute(&dqo.plan, &ExecContext::new(&catalog)).expect("DQO executes");
         dqo_ms = Some(t.elapsed().as_secs_f64() * 1e3);
         assert_eq!(
             sorted_rows(&a.relation),

@@ -1,7 +1,7 @@
 //! Optimisation-latency harness: what one planning call costs on each of
 //! the three serving tiers —
 //!
-//! 1. **cold** — a fresh memo per call (`optimize_full_dop`), the price
+//! 1. **cold** — a fresh memo per call (`optimize`), the price
 //!    of the full rule-driven search;
 //! 2. **memo** — a persistent session memo: every group exploration after
 //!    the first call is a winner-table hit;
@@ -17,9 +17,8 @@
 use crate::concurrency::percentile;
 use crate::report::Table;
 use dqo_core::catalog::Catalog;
-use dqo_core::cost::TupleCostModel;
 use dqo_core::memo::{Memo, MemoOptimizer, MemoStamp};
-use dqo_core::optimizer::{optimize_full_dop, OptimizerMode, PropertyModel};
+use dqo_core::optimizer::{optimize, OptimizeRequest, OptimizerMode, PropertyModel};
 use dqo_core::plan_cache::{plan_shape, PlanCache};
 use dqo_obs::MetricsRegistry;
 use dqo_plan::expr::{AggExpr, CmpOp, Predicate};
@@ -112,20 +111,14 @@ pub fn run(rows: usize, reps: usize, dop: usize) -> Vec<TierResult> {
     let (catalog, queries) = corpus(rows);
     let warmup = (reps / 10).max(1);
     let mut out = Vec::new();
+    let req = OptimizeRequest {
+        pmodel: PropertyModel::AttributeStrict,
+        dop,
+        ..OptimizeRequest::new(&catalog, OptimizerMode::Deep)
+    };
     for (name, q) in &queries {
         // Tier 1: cold — a fresh memo every call.
-        let cold_once = || {
-            optimize_full_dop(
-                q,
-                &catalog,
-                OptimizerMode::Deep,
-                &TupleCostModel,
-                None,
-                PropertyModel::AttributeStrict,
-                dop,
-            )
-            .expect("plans")
-        };
+        let cold_once = || optimize(q, &req).expect("plans");
         for _ in 0..warmup {
             std::hint::black_box(cold_once());
         }
@@ -141,18 +134,9 @@ pub fn run(rows: usize, reps: usize, dop: usize) -> Vec<TierResult> {
         let mut memo = Memo::new();
         memo.ensure_stamp(MemoStamp::current(&catalog, None, None));
         let memo_once = |memo: &mut Memo| {
-            MemoOptimizer::new(
-                memo,
-                &catalog,
-                OptimizerMode::Deep,
-                &TupleCostModel,
-                None,
-                PropertyModel::AttributeStrict,
-                dop,
-                None,
-            )
-            .optimize(q)
-            .expect("plans")
+            MemoOptimizer::new(memo, &req, None)
+                .optimize(q)
+                .expect("plans")
         };
         for _ in 0..warmup {
             std::hint::black_box(memo_once(&mut memo));

@@ -348,7 +348,8 @@ pub fn materialise_av_on(catalog: &Catalog, sig: &AvSignature, pool: &ThreadPool
     let keys = entry.relation.column(&sig.column)?.as_u32()?;
     match sig.kind {
         AvKind::SortedProjection => {
-            let (perm, _) = parallel_argsort(pool, keys, RunSortMolecule::Comparison)?;
+            let (perm, _) =
+                parallel_argsort(pool, keys, RunSortMolecule::Comparison, &[0, keys.len()])?;
             let order: Vec<usize> = perm.into_iter().map(|i| i as usize).collect();
             let sorted = parallel_gather(pool, &entry.relation, &order)?;
             catalog.register(sig.av_table_name(), sorted.clone());
@@ -374,8 +375,15 @@ pub fn materialise_av_on(catalog: &Catalog, sig: &AvSignature, pool: &ThreadPool
             } else {
                 GroupingStrategy::Hash
             };
-            let (g, _) =
-                parallel_grouping(pool, keys, keys, CountSum, strategy, DEFAULT_MORSEL_ROWS)?;
+            let (g, _) = parallel_grouping(
+                pool,
+                keys,
+                keys,
+                CountSum,
+                strategy,
+                &[0, keys.len()],
+                DEFAULT_MORSEL_ROWS,
+            )?;
             let rel = grouping_relation(sig, g)?;
             catalog.register(sig.av_table_name(), rel.clone());
             av.artifact = Some(AvArtifact::MaterialisedGrouping(Arc::new(rel)));
@@ -409,7 +417,10 @@ fn materialise_composite(
                 Some(p) => {
                     let packed = p.pack(&key_cols);
                     match pool {
-                        Some(tp) => parallel_argsort(tp, &packed, RunSortMolecule::Comparison)?.0,
+                        Some(tp) => {
+                            let bounds = [0, packed.len()];
+                            parallel_argsort(tp, &packed, RunSortMolecule::Comparison, &bounds)?.0
+                        }
                         None => argsort(&packed),
                     }
                     .into_iter()
@@ -454,6 +465,7 @@ fn materialise_composite(
                                 values,
                                 CountSum,
                                 GroupingStrategy::Hash,
+                                &[0, packed.len()],
                                 DEFAULT_MORSEL_ROWS,
                             )?
                             .0

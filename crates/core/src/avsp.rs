@@ -19,7 +19,7 @@
 
 use crate::av::{plan_av, Av, AvCatalog, AvKind, AvSignature};
 use crate::catalog::Catalog;
-use crate::optimizer::{optimize_with_avs, OptimizerMode};
+use crate::optimizer::{optimize, OptimizeRequest, OptimizerMode};
 use crate::Result;
 use dqo_plan::LogicalPlan;
 use std::sync::Arc;
@@ -104,9 +104,13 @@ pub fn workload_cost(
     for av in selected {
         avs.register(av.clone());
     }
+    let req = OptimizeRequest {
+        avs: Some(&avs),
+        ..OptimizeRequest::new(catalog, OptimizerMode::Deep)
+    };
     let mut total = 0.0;
     for q in workload {
-        let planned = optimize_with_avs(&q.plan, catalog, OptimizerMode::Deep, &avs)?;
+        let planned = optimize(&q.plan, &req)?;
         total += q.weight * planned.est_cost;
     }
     Ok(total)

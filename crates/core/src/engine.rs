@@ -10,11 +10,10 @@ use crate::av_build::{AvBuildHandle, AvBuilder};
 use crate::av_delta::{MaintenanceReport, ViewMaintainer};
 use crate::avsp::{self, AvspSolution, Solver, WorkloadQuery};
 use crate::catalog::Catalog;
-use crate::cost::TupleCostModel;
-use crate::executor::{execute_on_pool, execute_traced, execute_with_avs, ExecOutput};
+use crate::executor::{execute, ExecContext, ExecOutput};
 use crate::feedback::FeedbackStore;
 use crate::memo::{Memo, MemoOptimizer, MemoStamp, MemoStats};
-use crate::optimizer::{OptimizerMode, PlannedQuery, PropertyModel};
+use crate::optimizer::{OptimizeRequest, OptimizerMode, PlannedQuery, PropertyModel};
 use crate::plan_cache::{plan_shape, PlanCache};
 use crate::profile::{render_annotated_with, PlanRuntime};
 use crate::Result;
@@ -500,18 +499,15 @@ impl Engine {
             Some(&self.avs),
             Some(&self.feedback),
         ));
-        let planned = MemoOptimizer::new(
-            &mut memo,
-            &self.catalog,
-            self.mode,
-            &TupleCostModel,
-            Some(&self.avs),
-            self.pmodel,
+        let req = OptimizeRequest {
+            avs: Some(&self.avs),
+            pmodel: self.pmodel,
             dop,
-            Some(&self.feedback),
-        )
-        .with_pruning(self.pruning)
-        .optimize(logical);
+            ..OptimizeRequest::new(&self.catalog, self.mode)
+        };
+        let planned = MemoOptimizer::new(&mut memo, &req, Some(&self.feedback))
+            .with_pruning(self.pruning)
+            .optimize(logical);
         self.obs.publish_memo(&memo);
         planned
     }
@@ -584,20 +580,15 @@ impl Engine {
         queue_wait: Duration,
     ) -> Result<QueryResult> {
         let began = trace.begin();
-        let (output, ops) = if trace.is_enabled() {
-            let (output, nodes) = execute_traced(
-                &planned.plan,
-                &self.catalog,
-                Some(&self.avs),
-                self.pool.as_ref(),
-            )?;
-            (output, PlanRuntime { nodes })
-        } else {
-            let output = match &self.pool {
-                Some(pool) => execute_on_pool(&planned.plan, &self.catalog, Some(&self.avs), pool)?,
-                None => execute_with_avs(&planned.plan, &self.catalog, Some(&self.avs))?,
-            };
-            (output, PlanRuntime::default())
+        let ctx = ExecContext {
+            avs: Some(&self.avs),
+            pool: self.pool.as_ref(),
+            collect_metrics: trace.is_enabled(),
+            ..ExecContext::new(&self.catalog)
+        };
+        let mut output = execute(&planned.plan, &ctx)?;
+        let ops = PlanRuntime {
+            nodes: std::mem::take(&mut output.operators),
         };
         let exec_wall = trace.end(Phase::Execute, began);
         self.obs.exec.observe_duration(exec_wall);

@@ -12,7 +12,7 @@ use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
-use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
+use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingAlgorithm, GroupingHints};
 use dqo_exec::join::{execute_join as run_join, JoinAlgorithm, JoinHints};
 use dqo_exec::pipeline::{
     grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
@@ -33,81 +33,70 @@ pub struct ExecOutput {
     pub relation: Relation,
     /// Pipeline-breaker accounting along the plan.
     pub pipeline: PipelineStats,
+    /// One [`OperatorMetrics`] per plan node in pre-order (the numbering
+    /// of [`PhysicalPlan::preorder`] and the `explain` line order) when
+    /// [`ExecContext::collect_metrics`] is set; empty otherwise.
+    pub operators: Vec<OperatorMetrics>,
 }
 
-/// Execute a physical plan against the catalog.
-pub fn execute(plan: &PhysicalPlan, catalog: &Catalog) -> Result<ExecOutput> {
-    execute_with_avs(plan, catalog, None)
+/// Everything an execution reads besides the plan: the one
+/// configuration [`execute`] takes.
+#[derive(Clone, Copy)]
+pub struct ExecContext<'a> {
+    /// Tables the plan's scans read.
+    pub catalog: &'a Catalog,
+    /// Materialised Algorithmic Views the plan was optimised against:
+    /// prebuilt SPH join indexes are probed instead of rebuilt
+    /// (relation-shaped AVs are plain catalog tables already).
+    pub avs: Option<&'a AvCatalog>,
+    /// The pool `Exchange` nodes dispatch onto — the engine's
+    /// shared-pool serving mode routes every session's batches through
+    /// one pool. `None` resolves the process-wide shared pool lazily,
+    /// so a plan with no `Exchange` never spawns pool workers.
+    pub pool: Option<&'a Arc<PersistentPool>>,
+    /// Collect per-operator [`OperatorMetrics`] into
+    /// [`ExecOutput::operators`]: actual rows, inclusive wall time, the
+    /// node's pipeline-stats contribution and, for `Exchange` nodes, the
+    /// DOP, morsels dispatched and morsel steals. The relation produced
+    /// is bit-identical either way: instrumentation only reads clocks and
+    /// counters, never the data.
+    pub collect_metrics: bool,
 }
 
-/// Execute, reusing materialised Algorithmic Views where the plan was
-/// optimised against them (prebuilt SPH join indexes are probed instead of
-/// rebuilt; relation-shaped AVs are plain catalog tables already).
-/// Exchange nodes dispatch onto the process-wide shared pool, resolved
-/// lazily — a plan with no Exchange never spawns pool workers; use
-/// [`execute_on_pool`] to target a specific pool.
-pub fn execute_with_avs(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-) -> Result<ExecOutput> {
-    exec_root(plan, catalog, avs, None, false).map(|(out, _)| out)
+impl<'a> ExecContext<'a> {
+    /// Execute against `catalog` alone: no AVs, the lazily resolved
+    /// global pool, no per-operator metrics.
+    pub fn new(catalog: &'a Catalog) -> Self {
+        ExecContext {
+            catalog,
+            avs: None,
+            pool: None,
+            collect_metrics: false,
+        }
+    }
+
+    /// The pool to dispatch an `Exchange` onto. Resolved only when the
+    /// plan actually reaches one, so serial plans never force the
+    /// process-global pool (and its parked worker threads) into
+    /// existence.
+    fn pool(&self) -> Arc<PersistentPool> {
+        match self.pool {
+            Some(pool) => Arc::clone(pool),
+            None => PersistentPool::global(),
+        }
+    }
 }
 
-/// Execute with Exchange nodes dispatching onto `pool` — the engine's
-/// shared-pool serving mode routes every session's batches through here
-/// so they multiplex one set of persistent workers.
-pub fn execute_on_pool(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    pool: &Arc<PersistentPool>,
-) -> Result<ExecOutput> {
-    exec_root(plan, catalog, avs, Some(pool), false).map(|(out, _)| out)
-}
-
-/// [`execute_on_pool`] with per-operator instrumentation: alongside the
-/// output, returns one [`OperatorMetrics`] per plan node in pre-order
-/// (the numbering of [`PhysicalPlan::preorder`] and the `explain` line
-/// order), carrying actual rows, inclusive wall time, the node's
-/// pipeline-stats contribution, and — for `Exchange` nodes — the DOP,
-/// morsels dispatched and morsel steals. The relation produced is
-/// bit-identical to the untraced path: instrumentation only reads clocks
-/// and counters, never the data. `pool: None` resolves the process-global
-/// pool lazily, exactly like [`execute_with_avs`].
-pub fn execute_traced(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    pool: Option<&Arc<PersistentPool>>,
-) -> Result<(ExecOutput, Vec<OperatorMetrics>)> {
-    exec_root(plan, catalog, avs, pool, true)
-}
-
-fn exec_root(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    preset: Option<&Arc<PersistentPool>>,
-    collect: bool,
-) -> Result<(ExecOutput, Vec<OperatorMetrics>)> {
-    // The pool is resolved only if the plan actually reaches an Exchange
-    // node, so serial plans never force the process-global pool (and its
-    // parked worker threads) into existence.
-    let resolve = move || match preset {
-        Some(pool) => Arc::clone(pool),
-        None => PersistentPool::global(),
-    };
+/// Execute a physical plan — the executor's one entry point.
+pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<ExecOutput> {
     let mut stats = PipelineStats::default();
-    let mut obs = collect.then(|| OpCollector::new(plan));
-    let relation = exec_node(plan, catalog, avs, &resolve, &mut stats, &mut obs)?;
-    Ok((
-        ExecOutput {
-            relation,
-            pipeline: stats,
-        },
-        obs.map(|c| c.nodes).unwrap_or_default(),
-    ))
+    let mut obs = ctx.collect_metrics.then(|| OpCollector::new(plan));
+    let relation = exec_node(plan, ctx, &mut stats, &mut obs)?;
+    Ok(ExecOutput {
+        relation,
+        pipeline: stats,
+        operators: obs.map(|c| c.nodes).unwrap_or_default(),
+    })
 }
 
 /// Per-node metrics sink for an instrumented execution. Nodes are keyed
@@ -158,18 +147,16 @@ impl OpCollector {
 /// observability costs one branch per node, not a clock read.
 fn exec_node(
     plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    pool: &dyn Fn() -> Arc<PersistentPool>,
+    ctx: &ExecContext<'_>,
     stats: &mut PipelineStats,
     obs: &mut Option<OpCollector>,
 ) -> Result<Relation> {
     if obs.is_none() {
-        return exec_node_inner(plan, catalog, avs, pool, stats, obs);
+        return exec_node_inner(plan, ctx, stats, obs);
     }
     let began = Instant::now();
     let before = *stats;
-    let rel = exec_node_inner(plan, catalog, avs, pool, stats, obs)?;
+    let rel = exec_node_inner(plan, ctx, stats, obs)?;
     if let Some(c) = obs.as_mut() {
         c.record(
             plan,
@@ -183,12 +170,11 @@ fn exec_node(
 
 fn exec_node_inner(
     plan: &PhysicalPlan,
-    catalog: &Catalog,
-    avs: Option<&AvCatalog>,
-    pool: &dyn Fn() -> Arc<PersistentPool>,
+    ctx: &ExecContext<'_>,
     stats: &mut PipelineStats,
     obs: &mut Option<OpCollector>,
 ) -> Result<Relation> {
+    let catalog = ctx.catalog;
     match plan {
         PhysicalPlan::Scan { table } => {
             let rel = catalog.get(table)?.relation.as_ref().clone();
@@ -219,13 +205,13 @@ fn exec_node_inner(
             Ok(rel)
         }
         PhysicalPlan::Filter { input, predicate } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
+            let rel = exec_node(input, ctx, stats, obs)?;
             let mask = eval_predicate(&rel, predicate)?;
             stats.record(Blocking::Pipelined, rel.rows() as u64);
             Ok(rel.filter(&mask)?)
         }
         PhysicalPlan::Project { input, columns } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
+            let rel = exec_node(input, ctx, stats, obs)?;
             let names: Vec<&str> = columns.iter().map(String::as_str).collect();
             Ok(rel.project(&names)?)
         }
@@ -234,7 +220,7 @@ fn exec_node_inner(
             key,
             molecule,
         } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
+            let rel = exec_node(input, ctx, stats, obs)?;
             let keys = rel.column(key)?.as_u32()?;
             let order: Vec<usize> = match molecule {
                 dqo_plan::SortMolecule::Comparison => {
@@ -261,7 +247,7 @@ fn exec_node_inner(
             algo,
         } => {
             // Prebuilt SPH index AV: probe it instead of rebuilding.
-            let prebuilt = match (avs, *algo, left.as_ref()) {
+            let prebuilt = match (ctx.avs, *algo, left.as_ref()) {
                 (Some(avs), JoinImpl::Sphj, PhysicalPlan::Scan { table }) => avs
                     .lookup(table, left_key, AvKind::SphIndex)
                     .and_then(|av| match &av.artifact {
@@ -270,8 +256,8 @@ fn exec_node_inner(
                     }),
                 _ => None,
             };
-            let l = exec_node(left, catalog, avs, pool, stats, obs)?;
-            let r = exec_node(right, catalog, avs, pool, stats, obs)?;
+            let l = exec_node(left, ctx, stats, obs)?;
+            let r = exec_node(right, ctx, stats, obs)?;
             if let Some(idx) = prebuilt {
                 let rk = r.column(right_key)?.as_u32()?;
                 let result = idx.probe(rk);
@@ -287,11 +273,15 @@ fn exec_node_inner(
             algo,
             molecules,
         } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
-            exec_group_by(&rel, keys, aggs, *algo, *molecules, stats)
+            let rel = exec_node(input, ctx, stats, obs)?;
+            let kernel = GroupKernel::Serial {
+                algo: *algo,
+                molecules: *molecules,
+            };
+            exec_group_by(&rel, keys, aggs, kernel, stats)
         }
         PhysicalPlan::Limit { input, n } => {
-            let rel = exec_node(input, catalog, avs, pool, stats, obs)?;
+            let rel = exec_node(input, ctx, stats, obs)?;
             Ok(take_rows(&rel, *n))
         }
         PhysicalPlan::Exchange { input, dop } => {
@@ -299,7 +289,7 @@ fn exec_node_inner(
             // session's persistent pool. When instrumented, a per-batch
             // observation sink captures morsel and steal counts for this
             // subtree without touching the shared pool's registry.
-            let mut tp = ThreadPool::with_pool(*dop, pool());
+            let mut tp = ThreadPool::with_pool(*dop, ctx.pool());
             let batch_obs = obs.as_ref().map(|_| Arc::new(BatchObs::default()));
             if let Some(b) = &batch_obs {
                 tp = tp.with_obs(Arc::clone(b));
@@ -318,9 +308,14 @@ fn exec_node_inner(
                     GroupingImpl::Hg | GroupingImpl::Sphg | GroupingImpl::Sog
                 ) =>
                 {
-                    let seg = partition_bounds(child, catalog);
-                    let rel = exec_node(child, catalog, avs, pool, stats, obs)?;
-                    exec_group_by_parallel(&rel, keys, aggs, *algo, &tp, seg.as_deref(), stats)
+                    let rel = exec_node(child, ctx, stats, obs)?;
+                    let bounds = partition_bounds(child, catalog, rel.rows());
+                    let kernel = GroupKernel::Parallel {
+                        algo: *algo,
+                        pool: &tp,
+                        bounds: &bounds,
+                    };
+                    exec_group_by(&rel, keys, aggs, kernel, stats)
                 }
                 PhysicalPlan::Join {
                     left,
@@ -329,41 +324,36 @@ fn exec_node_inner(
                     right_key,
                     algo,
                 } if matches!(algo, JoinImpl::Hj | JoinImpl::Sphj | JoinImpl::Soj) => {
+                    let l = exec_node(left, ctx, stats, obs)?;
+                    let r = exec_node(right, ctx, stats, obs)?;
                     // Partition-native seeding applies to the build side.
-                    let seg = partition_bounds(left, catalog);
-                    let l = exec_node(left, catalog, avs, pool, stats, obs)?;
-                    let r = exec_node(right, catalog, avs, pool, stats, obs)?;
-                    exec_join_parallel(
-                        &l,
-                        &r,
-                        left_key,
-                        right_key,
-                        *algo,
-                        &tp,
-                        seg.as_deref(),
-                        stats,
-                    )
+                    let bounds = partition_bounds(left, catalog, l.rows());
+                    let lk = l.column(left_key)?.as_u32()?;
+                    let rk = r.column(right_key)?.as_u32()?;
+                    let (result, par_stats) = parallel_join(&tp, lk, rk, *algo, &bounds)?;
+                    stats.merge(&par_stats);
+                    assemble_join_output(&l, &r, &result)
                 }
                 PhysicalPlan::Sort {
                     input: child,
                     key,
                     molecule,
                 } => {
-                    let seg = partition_bounds(child, catalog);
-                    let rel = exec_node(child, catalog, avs, pool, stats, obs)?;
-                    exec_sort_parallel(&rel, key, *molecule, &tp, seg.as_deref(), stats)
+                    let rel = exec_node(child, ctx, stats, obs)?;
+                    let bounds = partition_bounds(child, catalog, rel.rows());
+                    exec_sort_parallel(&rel, key, *molecule, &tp, &bounds, stats)
                 }
                 PhysicalPlan::Filter {
                     input: child,
                     predicate,
                 } => {
-                    let seg = partition_bounds(child, catalog);
-                    let rel = exec_node(child, catalog, avs, pool, stats, obs)?;
-                    exec_filter_parallel(&rel, predicate, &tp, seg.as_deref(), stats)
+                    let rel = exec_node(child, ctx, stats, obs)?;
+                    let bounds = partition_bounds(child, catalog, rel.rows());
+                    exec_filter_parallel(&rel, predicate, &tp, &bounds, stats)
                 }
                 // Anything the parallel runtime does not cover degrades
                 // gracefully to the serial executor.
-                other => exec_node(other, catalog, avs, pool, stats, obs),
+                other => exec_node(other, ctx, stats, obs),
             }?;
             if let Some(c) = obs.as_mut() {
                 // The operator under the Exchange bypasses `exec_node` on
@@ -388,23 +378,30 @@ fn exec_node_inner(
     }
 }
 
-/// Segment offsets, in the scan's **output** row coordinates, of a
-/// partitioned scan's surviving ranges: `[0, l1, l1+l2, …, rows]`, one
-/// segment per per-partition range in flat order. The parallel runtime
-/// seeds one sort run / morsel block per segment, so parallel work over
-/// the scan never crosses a partition boundary. `None` for any other
-/// node — the partition-native seeding only fires when the parallel
-/// operator reads a `PartitionedScan` directly.
-fn partition_bounds(plan: &PhysicalPlan, catalog: &Catalog) -> Option<Vec<usize>> {
-    let PhysicalPlan::PartitionedScan { table, parts, .. } = plan else {
-        return None;
+/// Segment offsets, in the **output** row coordinates of `plan`, whose
+/// `rows` rows a parallel operator reads. For a partitioned scan these are
+/// its surviving ranges, `[0, l1, l1+l2, …, rows]` — one segment per
+/// per-partition range in flat order — so parallel work over the scan
+/// never crosses a partition boundary. Any other node (and a scan whose
+/// partition map was dropped by a re-register) is one segment,
+/// `[0, rows]`.
+fn partition_bounds(plan: &PhysicalPlan, catalog: &Catalog, rows: usize) -> Vec<usize> {
+    let partitioning = match plan {
+        PhysicalPlan::PartitionedScan { table, parts, .. } => catalog
+            .get(table)
+            .ok()
+            .and_then(|e| e.partitioning.clone())
+            .map(|p| p.flat_order_segments(parts)),
+        _ => None,
     };
-    let partitioning = catalog.get(table).ok()?.partitioning.clone()?;
+    let Some(segments) = partitioning else {
+        return vec![0, rows];
+    };
     let mut bounds = vec![0usize];
-    for (s, e) in partitioning.flat_order_segments(parts) {
+    for (s, e) in segments {
         bounds.push(bounds.last().expect("non-empty") + (e - s));
     }
-    Some(bounds)
+    bounds
 }
 
 /// First `n` rows of a relation.
@@ -512,12 +509,94 @@ fn key_layouts(rel: &Relation, keys: &[String]) -> Result<Vec<KeyLayout>> {
         .collect()
 }
 
+/// The grouping kernel a `GroupBy` runs on its key column — the raw
+/// column for a single key, the packed codes for a composite one. Only
+/// the kernel differs between serial and `Exchange`-dispatched grouping;
+/// key layouts, packing, the row-wise fallback, unpacking and output
+/// assembly are shared ([`exec_group_by`]).
+enum GroupKernel<'a> {
+    /// The serial organelle, with HG dispatched onto the optimiser-chosen
+    /// table/hash molecules.
+    Serial {
+        algo: GroupingImpl,
+        molecules: dqo_plan::physical::GroupingMolecules,
+    },
+    /// Morsel-parallel HG/SPHG through `dqo-parallel`'s thread-local
+    /// aggregation, or SOG through the parallel sort subsystem, seeded
+    /// by the input's segment `bounds`. Bit-identical to serial at any
+    /// DOP: packing is deterministic and the parallel merges are.
+    Parallel {
+        algo: GroupingImpl,
+        pool: &'a ThreadPool,
+        bounds: &'a [usize],
+    },
+}
+
+impl GroupKernel<'_> {
+    /// Group `values` by `data`, returning the grouped result plus the
+    /// kernel's own pipeline accounting.
+    fn run(
+        &self,
+        data: &[u32],
+        values: &[u32],
+    ) -> Result<(GroupedResult<FullAggState>, PipelineStats)> {
+        match *self {
+            GroupKernel::Serial { algo, molecules } => {
+                let exec_algo = to_exec_grouping(algo);
+                let (min, max) = min_max(data);
+                let hints = GroupingHints {
+                    min: Some(min),
+                    max: Some(max),
+                    distinct: None,
+                    known_keys: None,
+                };
+                // Molecule-aware dispatch for the hash organelle: the
+                // optimiser's table/hash decision selects the concrete
+                // implementation.
+                let result = if algo == GroupingImpl::Hg {
+                    run_hash_grouping_with_molecules(data, values, molecules)
+                } else {
+                    execute_grouping(exec_algo, data, values, FullAgg, &hints)?
+                };
+                let mut stats = PipelineStats::default();
+                stats.record(grouping_blocking(exec_algo), data.len() as u64);
+                Ok((result, stats))
+            }
+            GroupKernel::Parallel { algo, pool, bounds } => Ok(if algo == GroupingImpl::Sog {
+                let molecule = dqo_parallel::RunSortMolecule::Comparison;
+                dqo_parallel::parallel_sog(pool, data, values, FullAgg, molecule, bounds)?
+            } else {
+                let strategy = match algo {
+                    GroupingImpl::Sphg => {
+                        let (min, max) = min_max(data);
+                        GroupingStrategy::StaticPerfectHash { min, max }
+                    }
+                    _ => GroupingStrategy::Hash,
+                };
+                dqo_parallel::parallel_grouping(
+                    pool,
+                    data,
+                    values,
+                    FullAgg,
+                    strategy,
+                    bounds,
+                    DEFAULT_MORSEL_ROWS,
+                )?
+            }),
+        }
+    }
+}
+
+/// Group `rel` by `keys` with `kernel`. A single key runs the kernel on
+/// the raw column; a composite key is packed into the u32 code domain
+/// where the per-column widths allow, runs the very same kernel on the
+/// packed codes and is unpacked afterwards; an unpackable composite falls
+/// back to the row-wise kernel.
 fn exec_group_by(
     rel: &Relation,
     keys: &[String],
     aggs: &[AggExpr],
-    algo: GroupingImpl,
-    molecules: dqo_plan::physical::GroupingMolecules,
+    kernel: GroupKernel<'_>,
     stats: &mut PipelineStats,
 ) -> Result<Relation> {
     let layouts = key_layouts(rel, keys)?;
@@ -530,57 +609,31 @@ fn exec_group_by(
         Some(name) => rel.column(name)?.as_u32()?,
         None => key_cols[0],
     };
-    let exec_algo = to_exec_grouping(algo);
 
-    if keys.len() == 1 {
-        // Single-key fast path: the kernels run on the raw column.
-        let data = key_cols[0];
-        let (min, max) = min_max(data);
-        let hints = GroupingHints {
-            min: Some(min),
-            max: Some(max),
-            distinct: None,
-            known_keys: None,
-        };
-        // Molecule-aware dispatch for the hash organelle: the optimiser's
-        // table/hash decision selects the concrete implementation.
-        let result = if algo == GroupingImpl::Hg {
-            run_hash_grouping_with_molecules(data, values, molecules)
-        } else {
-            execute_grouping(exec_algo, data, values, FullAgg, &hints)?
-        };
-        stats.record(grouping_blocking(exec_algo), data.len() as u64);
-        return grouped_to_relation(&layouts, vec![result.keys.clone()], aggs, &result.states);
-    }
-
-    // Composite key: pack into the u32 code domain where the per-column
-    // widths allow, and run the very same single-column kernels on the
-    // packed codes; otherwise fall back to the row-wise kernel.
-    let rows = key_cols[0].len() as u64;
-    match KeyPacker::fit(&key_cols) {
+    let packed_storage;
+    let (packer, data): (Option<KeyPacker>, &[u32]) = if keys.len() == 1 {
+        (None, key_cols[0])
+    } else {
+        match KeyPacker::fit(&key_cols) {
+            Some(p) => {
+                packed_storage = p.pack(&key_cols);
+                (Some(p), packed_storage.as_slice())
+            }
+            None => {
+                let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
+                stats.record(Blocking::FullBreaker, key_cols[0].len() as u64);
+                return grouped_to_relation(&layouts, cols, aggs, &states);
+            }
+        }
+    };
+    let (result, kernel_stats) = kernel.run(data, values)?;
+    stats.merge(&kernel_stats);
+    match packer {
         Some(packer) => {
-            let packed = packer.pack(&key_cols);
-            let (min, max) = min_max(&packed);
-            let hints = GroupingHints {
-                min: Some(min),
-                max: Some(max),
-                distinct: None,
-                known_keys: None,
-            };
-            let result = if algo == GroupingImpl::Hg {
-                run_hash_grouping_with_molecules(&packed, values, molecules)
-            } else {
-                execute_grouping(exec_algo, &packed, values, FullAgg, &hints)?
-            };
-            stats.record(grouping_blocking(exec_algo), rows);
             let (cols, states) = unpack_grouped(&packer, result);
             grouped_to_relation(&layouts, cols, aggs, &states)
         }
-        None => {
-            let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
-            stats.record(Blocking::FullBreaker, rows);
-            grouped_to_relation(&layouts, cols, aggs, &states)
-        }
+        None => grouped_to_relation(&layouts, vec![result.keys.clone()], aggs, &result.states),
     }
 }
 
@@ -632,164 +685,41 @@ fn exec_sort_parallel(
     key: &str,
     molecule: dqo_plan::SortMolecule,
     pool: &ThreadPool,
-    seg: Option<&[usize]>,
+    bounds: &[usize],
     stats: &mut PipelineStats,
 ) -> Result<Relation> {
     let keys = rel.column(key)?.as_u32()?;
-    let (order, par_stats) = match seg {
-        Some(bounds) => {
-            dqo_parallel::parallel_argsort_segmented(pool, keys, to_run_molecule(molecule), bounds)
-        }
-        None => dqo_parallel::parallel_argsort(pool, keys, to_run_molecule(molecule)),
-    }
-    .map_err(dqo_exec::ExecError::from)?;
+    let (order, par_stats) =
+        dqo_parallel::parallel_argsort(pool, keys, to_run_molecule(molecule), bounds)?;
     stats.merge(&par_stats);
     let order: Vec<usize> = order.into_iter().map(|i| i as usize).collect();
     Ok(rel.gather(&order))
 }
 
-/// Morsel-parallel group-by (dispatched from an `Exchange` node): the
-/// grouping key/value columns run through `dqo-parallel`'s thread-local
-/// aggregation — or, for SOG, the parallel sort subsystem — and the
-/// parallel kernels' own [`PipelineStats`] merge into the query's
-/// accounting. Composite keys run the identical kernels on the packed
-/// code column (bit-identical to serial at any DOP, since the packing is
-/// deterministic and the parallel merges are); an unpackable composite
-/// degrades gracefully to the serial row-wise kernel.
-fn exec_group_by_parallel(
-    rel: &Relation,
-    keys: &[String],
-    aggs: &[AggExpr],
-    algo: GroupingImpl,
+/// Morsel-parallel join kernels (dispatched from an `Exchange` node):
+/// partitioned parallel HJ or parallel-sort SOJ seeded by the build
+/// side's segment `bounds`, or a parallel-probe SPHJ.
+fn parallel_join(
     pool: &ThreadPool,
-    seg: Option<&[usize]>,
-    stats: &mut PipelineStats,
-) -> Result<Relation> {
-    let layouts = key_layouts(rel, keys)?;
-    let key_cols: Vec<&[u32]> = keys
-        .iter()
-        .map(|k| Ok(rel.column(k)?.as_u32()?))
-        .collect::<Result<_>>()?;
-    let value_col = agg_input_column(aggs)?;
-    let values: &[u32] = match value_col {
-        Some(name) => rel.column(name)?.as_u32()?,
-        None => key_cols[0],
-    };
-
-    // Composite keys pack (or bail to the serial row-wise fallback).
-    let packed_storage;
-    let (packer, data): (Option<KeyPacker>, &[u32]) = if keys.len() == 1 {
-        (None, key_cols[0])
-    } else {
-        match KeyPacker::fit(&key_cols) {
-            Some(p) => {
-                packed_storage = p.pack(&key_cols);
-                (Some(p), packed_storage.as_slice())
-            }
-            None => {
-                let (cols, states) = rowwise_group(&key_cols, values, FullAgg);
-                stats.record(Blocking::FullBreaker, key_cols[0].len() as u64);
-                return grouped_to_relation(&layouts, cols, aggs, &states);
-            }
-        }
-    };
-
-    let result = if algo == GroupingImpl::Sog {
-        let molecule = dqo_parallel::RunSortMolecule::Comparison;
-        let (result, par_stats) = match seg {
-            Some(bounds) => {
-                dqo_parallel::parallel_sog_segmented(pool, data, values, FullAgg, molecule, bounds)?
-            }
-            None => dqo_parallel::parallel_sog(pool, data, values, FullAgg, molecule)?,
-        };
-        stats.merge(&par_stats);
-        result
-    } else {
-        let strategy = match algo {
-            GroupingImpl::Sphg => {
-                let (min, max) = min_max(data);
-                GroupingStrategy::StaticPerfectHash { min, max }
-            }
-            _ => GroupingStrategy::Hash,
-        };
-        let (result, par_stats) = match seg {
-            Some(bounds) => dqo_parallel::parallel_grouping_segmented(
-                pool,
-                data,
-                values,
-                FullAgg,
-                strategy,
-                bounds,
-                DEFAULT_MORSEL_ROWS,
-            )?,
-            None => dqo_parallel::parallel_grouping(
-                pool,
-                data,
-                values,
-                FullAgg,
-                strategy,
-                DEFAULT_MORSEL_ROWS,
-            )?,
-        };
-        stats.merge(&par_stats);
-        result
-    };
-    match packer {
-        Some(packer) => {
-            let (cols, states) = unpack_grouped(&packer, result);
-            grouped_to_relation(&layouts, cols, aggs, &states)
-        }
-        None => grouped_to_relation(&layouts, vec![result.keys.clone()], aggs, &result.states),
-    }
-}
-
-/// Morsel-parallel join (dispatched from an `Exchange` node): partitioned
-/// parallel HJ, parallel-probe SPHJ, or parallel-sort SOJ on the key
-/// columns, then the usual gather-based output assembly.
-#[allow(clippy::too_many_arguments)]
-fn exec_join_parallel(
-    l: &Relation,
-    r: &Relation,
-    left_key: &str,
-    right_key: &str,
+    lk: &[u32],
+    rk: &[u32],
     algo: JoinImpl,
-    pool: &ThreadPool,
-    seg: Option<&[usize]>,
-    stats: &mut PipelineStats,
-) -> Result<Relation> {
-    let lk = l.column(left_key)?.as_u32()?;
-    let rk = r.column(right_key)?.as_u32()?;
-    let molecule = dqo_parallel::RunSortMolecule::Comparison;
-    let (result, par_stats) = match algo {
-        JoinImpl::Soj => match seg {
-            Some(bounds) => {
-                dqo_parallel::parallel_sort_merge_join_segmented(pool, lk, rk, molecule, bounds)?
-            }
-            None => dqo_parallel::parallel_sort_merge_join(pool, lk, rk, molecule)?,
-        },
+    bounds: &[usize],
+) -> Result<(dqo_exec::join::JoinResult, PipelineStats)> {
+    Ok(match algo {
+        JoinImpl::Soj => {
+            let molecule = dqo_parallel::RunSortMolecule::Comparison;
+            dqo_parallel::parallel_sort_merge_join(pool, lk, rk, molecule, bounds)?
+        }
         JoinImpl::Sphj => match (lk.iter().copied().min(), lk.iter().copied().max()) {
             (Some(min), Some(max)) => {
                 dqo_parallel::parallel_sph_join(pool, lk, rk, min, max, DEFAULT_MORSEL_ROWS)?
             }
             // Empty build side: no matches, nothing to build.
-            _ => (
-                dqo_exec::join::JoinResult::default(),
-                PipelineStats::default(),
-            ),
+            _ => Default::default(),
         },
-        _ => match seg {
-            Some(bounds) => dqo_parallel::parallel_hash_join_segmented(
-                pool,
-                lk,
-                rk,
-                bounds,
-                DEFAULT_MORSEL_ROWS,
-            )?,
-            None => dqo_parallel::parallel_hash_join(pool, lk, rk, DEFAULT_MORSEL_ROWS)?,
-        },
-    };
-    stats.merge(&par_stats);
-    assemble_join_output(l, r, &result)
+        _ => dqo_parallel::parallel_hash_join(pool, lk, rk, bounds, DEFAULT_MORSEL_ROWS)?,
+    })
 }
 
 /// Morsel-parallel filter (dispatched from an `Exchange` node): evaluate
@@ -798,13 +728,11 @@ fn exec_filter_parallel(
     rel: &Relation,
     predicate: &Predicate,
     pool: &ThreadPool,
-    seg: Option<&[usize]>,
+    bounds: &[usize],
     stats: &mut PipelineStats,
 ) -> Result<Relation> {
-    let ms = match seg {
-        Some(bounds) => dqo_parallel::morsels_within(bounds, DEFAULT_MORSEL_ROWS),
-        None => dqo_parallel::morsels(rel.rows(), DEFAULT_MORSEL_ROWS),
-    };
+    dqo_parallel::check_bounds(bounds, rel.rows())?;
+    let ms = dqo_parallel::morsels_within(bounds, DEFAULT_MORSEL_ROWS);
     let chunks = pool.map_morsel_list(&ms, |m| {
         eval_predicate_range(rel, predicate, m.start, m.end)
     })?;
@@ -1132,15 +1060,15 @@ pub fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{optimize, OptimizerMode};
+    use crate::optimizer::{optimize, OptimizeRequest, OptimizerMode};
     use dqo_plan::expr::CmpOp;
     use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
 
     fn check_plan_matches_naive(logical: &LogicalPlan, catalog: &Catalog) {
         let naive = naive_eval(logical, catalog).unwrap();
         for mode in [OptimizerMode::Shallow, OptimizerMode::Deep] {
-            let planned = optimize(logical, catalog, mode).unwrap();
-            let out = execute(&planned.plan, catalog).unwrap();
+            let planned = optimize(logical, &OptimizeRequest::new(catalog, mode)).unwrap();
+            let out = execute(&planned.plan, &ExecContext::new(catalog)).unwrap();
             assert_eq!(
                 sorted_rows(&out.relation),
                 sorted_rows(&naive),
@@ -1216,8 +1144,8 @@ mod tests {
         );
         check_plan_matches_naive(&q, &cat);
         // And verify the filter actually filtered.
-        let planned = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
-        let out = execute(&planned.plan, &cat).unwrap();
+        let planned = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Deep)).unwrap();
+        let out = execute(&planned.plan, &ExecContext::new(&cat)).unwrap();
         let keys = out.relation.column("key").unwrap().as_u32().unwrap();
         assert!(keys.iter().all(|&k| k < 20));
         assert_eq!(keys.len(), 20);
@@ -1228,8 +1156,8 @@ mod tests {
         let cat = Catalog::new();
         cat.register("t", DatasetSpec::new(500, 30).relation().unwrap());
         let q = LogicalPlan::sort(LogicalPlan::scan("t"), "key");
-        let planned = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
-        let out = execute(&planned.plan, &cat).unwrap();
+        let planned = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Deep)).unwrap();
+        let out = execute(&planned.plan, &ExecContext::new(&cat)).unwrap();
         let keys = out.relation.column("key").unwrap().as_u32().unwrap();
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(out.pipeline.breakers, 1); // exactly the sort
@@ -1262,8 +1190,8 @@ mod tests {
                 AggExpr::count_star("n"),
             ],
         );
-        let planned = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
-        let out = execute(&planned.plan, &cat).unwrap();
+        let planned = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Deep)).unwrap();
+        let out = execute(&planned.plan, &ExecContext::new(&cat)).unwrap();
         let rows = sorted_rows(&out.relation);
         assert_eq!(rows.len(), 2);
         // group 1: min 10, max 20, avg 15, sum 30, n 2
@@ -1308,14 +1236,14 @@ mod tests {
             algo,
             molecules: dqo_plan::physical::GroupingMolecules::defaults_for(algo),
         };
-        let serial = execute(&group_by(GroupingImpl::Sphg), &cat).unwrap();
+        let serial = execute(&group_by(GroupingImpl::Sphg), &ExecContext::new(&cat)).unwrap();
         for algo in [GroupingImpl::Sphg, GroupingImpl::Hg] {
             for dop in [2, 4] {
                 let plan = PhysicalPlan::Exchange {
                     input: Box::new(group_by(algo)),
                     dop,
                 };
-                let par = execute(&plan, &cat).unwrap();
+                let par = execute(&plan, &ExecContext::new(&cat)).unwrap();
                 assert_eq!(
                     sorted_rows(&par.relation),
                     sorted_rows(&serial.relation),
@@ -1335,7 +1263,7 @@ mod tests {
             }),
             dop: 4,
         };
-        let out = execute(&sort_plan, &cat).unwrap();
+        let out = execute(&sort_plan, &ExecContext::new(&cat)).unwrap();
         let keys = out.relation.column("key").unwrap().as_u32().unwrap();
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         // An Exchange around an operator the runtime genuinely does not
@@ -1345,7 +1273,7 @@ mod tests {
             input: Box::new(group_by(GroupingImpl::Bsg)),
             dop: 4,
         };
-        let fallback = execute(&bsg_plan, &cat).unwrap();
+        let fallback = execute(&bsg_plan, &ExecContext::new(&cat)).unwrap();
         assert_eq!(
             sorted_rows(&fallback.relation),
             sorted_rows(&serial.relation),
@@ -1376,13 +1304,13 @@ mod tests {
             right_key: "r_id".into(),
             algo,
         };
-        let serial = execute(&join(JoinImpl::Hj), &cat).unwrap();
+        let serial = execute(&join(JoinImpl::Hj), &ExecContext::new(&cat)).unwrap();
         for algo in [JoinImpl::Hj, JoinImpl::Sphj] {
             let plan = PhysicalPlan::Exchange {
                 input: Box::new(join(algo)),
                 dop: 4,
             };
-            let par = execute(&plan, &cat).unwrap();
+            let par = execute(&plan, &ExecContext::new(&cat)).unwrap();
             assert_eq!(par.relation.rows(), 3_000);
             assert_eq!(
                 sorted_rows(&par.relation),
@@ -1400,13 +1328,13 @@ mod tests {
             input: Box::new(PhysicalPlan::Scan { table: "t".into() }),
             predicate: Predicate::cmp("key", CmpOp::Lt, 30u32),
         };
-        let serial = execute(&filter, &cat).unwrap();
+        let serial = execute(&filter, &ExecContext::new(&cat)).unwrap();
         let par = execute(
             &PhysicalPlan::Exchange {
                 input: Box::new(filter),
                 dop: 4,
             },
-            &cat,
+            &ExecContext::new(&cat),
         )
         .unwrap();
         // Masks concatenate in morsel order: row order is preserved, so
@@ -1430,8 +1358,8 @@ mod tests {
             vec![AggExpr::count_star("n")],
         );
         // Deep mode picks OG on sorted input → zero breakers.
-        let deep = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
-        let out = execute(&deep.plan, &cat).unwrap();
+        let deep = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Deep)).unwrap();
+        let out = execute(&deep.plan, &ExecContext::new(&cat)).unwrap();
         assert_eq!(out.pipeline.breakers, 0, "OG must stream");
     }
 }

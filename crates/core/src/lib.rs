@@ -6,11 +6,13 @@
 //!   (sortedness, density, distinct counts per key column);
 //! * [`cost`] — the Table 2 cost models (tuple-operation based) and a
 //!   calibrated nanosecond model for estimated-vs-measured studies;
-//! * [`optimizer`] — the public optimiser API: **one** property-annotated
-//!   optimiser that is SQO or DQO depending on how much of the property
-//!   vector it is allowed to see (§4.3: SQO tracks sortedness only; DQO
-//!   adds density and friends), with sort enforcers, implementation
-//!   choice at the organelle level and molecule decisions below it;
+//! * [`optimizer`] — the optimiser's one entry point,
+//!   [`optimize`]`(logical, &`[`OptimizeRequest`]`)`: **one**
+//!   property-annotated optimiser that is SQO or DQO depending on how
+//!   much of the property vector it is allowed to see (§4.3: SQO tracks
+//!   sortedness only; DQO adds density and friends), with sort
+//!   enforcers, implementation choice at the organelle level and
+//!   molecule decisions below it;
 //! * [`memo`] — the Cascades-style memo behind it: groups keyed by
 //!   logical subtree, derived properties, per-group winner tables, and
 //!   uniform implementation / enforcer / parallel-twin rule application;
@@ -20,8 +22,11 @@
 //! * [`feedback`] — adaptive cardinality feedback: per-(table,
 //!   predicate-shape) selectivity corrections learned from executed
 //!   plans' est-vs-actual deltas, consumed by the memo's coster;
-//! * [`executor`] — runs the chosen `PhysicalPlan` on `dqo-exec`,
-//!   returning results plus pipeline statistics;
+//! * [`executor`] — the executor's one entry point,
+//!   [`execute`]`(plan, &`[`ExecContext`]`)`: runs the chosen
+//!   `PhysicalPlan` on `dqo-exec` and `dqo-parallel`, returning results
+//!   plus pipeline statistics (and per-operator metrics on request);
+//!   `naive_eval` is the reference evaluator the oracles compare with;
 //! * [`av`] — **Algorithmic Views** (§3): precomputed granules (sorted
 //!   projections, SPH join indexes, hash indexes, materialised groupings)
 //!   the optimiser can substitute at zero build cost;
@@ -80,10 +85,10 @@ pub use catalog::Catalog;
 pub use cost::{CostModel, TupleCostModel};
 pub use engine::{Engine, InsertReport, PreparedPlan};
 pub use error::CoreError;
-pub use executor::{execute, ExecOutput};
+pub use executor::{execute, ExecContext, ExecOutput};
 pub use feedback::FeedbackStore;
 pub use memo::{Memo, MemoOptimizer, MemoStamp, MemoStats};
-pub use optimizer::{optimize, OptimizerMode, PlannedQuery};
+pub use optimizer::{optimize, OptimizeRequest, OptimizerMode, PlannedQuery};
 pub use partition_prune::{prune_default, prune_partitions};
 pub use plan_cache::{plan_shape, PlanCache};
 pub use profile::PlanRuntime;

@@ -35,10 +35,11 @@
 
 use crate::av::AvCatalog;
 use crate::catalog::Catalog;
-use crate::cost::CostModel;
 use crate::error::CoreError;
 use crate::feedback::FeedbackStore;
-use crate::optimizer::{candidate_order, Candidate, OptimizerMode, PlannedQuery, PropertyModel};
+use crate::optimizer::{
+    candidate_order, Candidate, OptimizeRequest, OptimizerMode, PlannedQuery, PropertyModel,
+};
 use crate::property_builder::PropertyBuilder;
 use crate::Result;
 use dqo_plan::LogicalPlan;
@@ -251,44 +252,32 @@ impl Memo {
 }
 
 /// The rule-application engine: explores groups of a [`Memo`] under one
-/// optimisation context (catalog, cost model, AVs, mode, property model,
-/// DOP, feedback), memoising each group's pruned candidate set in its
-/// winner table.
+/// optimisation context (an [`OptimizeRequest`] plus feedback),
+/// memoising each group's pruned candidate set in its winner table.
 pub struct MemoOptimizer<'a> {
     pub(crate) memo: &'a mut Memo,
-    pub(crate) catalog: &'a Catalog,
-    pub(crate) mode: OptimizerMode,
-    pub(crate) model: &'a dyn CostModel,
-    pub(crate) avs: Option<&'a AvCatalog>,
-    pub(crate) pmodel: PropertyModel,
-    pub(crate) dop: usize,
+    pub(crate) req: OptimizeRequest<'a>,
     pub(crate) pruning: bool,
     pub(crate) props: PropertyBuilder<'a>,
 }
 
 impl<'a> MemoOptimizer<'a> {
-    /// Bind a memo to an optimisation context.
-    #[allow(clippy::too_many_arguments)]
+    /// Bind a memo to an optimisation context: the request's
+    /// configuration plus, for session queries, the feedback store whose
+    /// selectivity corrections the coster applies.
     pub fn new(
         memo: &'a mut Memo,
-        catalog: &'a Catalog,
-        mode: OptimizerMode,
-        model: &'a dyn CostModel,
-        avs: Option<&'a AvCatalog>,
-        pmodel: PropertyModel,
-        dop: usize,
+        req: &OptimizeRequest<'a>,
         feedback: Option<&'a FeedbackStore>,
     ) -> Self {
         MemoOptimizer {
             memo,
-            catalog,
-            mode,
-            model,
-            avs,
-            pmodel,
-            dop: dop.max(1),
+            req: OptimizeRequest {
+                dop: req.dop.max(1),
+                ..*req
+            },
             pruning: crate::partition_prune::prune_default(),
-            props: PropertyBuilder::with_feedback(catalog, feedback),
+            props: PropertyBuilder::with_feedback(req.catalog, feedback),
         }
     }
 
@@ -302,7 +291,7 @@ impl<'a> MemoOptimizer<'a> {
     /// Optimise a logical plan: intern it, explore its group, return the
     /// cheapest candidate as the final answer.
     pub fn optimize(&mut self, logical: &LogicalPlan) -> Result<PlannedQuery> {
-        let mode = self.mode;
+        let mode = self.req.mode;
         let best = self
             .candidates(logical)?
             .into_iter()
@@ -335,9 +324,9 @@ impl<'a> MemoOptimizer<'a> {
     ) -> Result<Arc<Vec<Candidate>>> {
         let key = WinnerKey {
             focus: focus.map(str::to_owned),
-            mode: self.mode,
-            pmodel: self.pmodel,
-            dop: self.dop,
+            mode: self.req.mode,
+            pmodel: self.req.pmodel,
+            dop: self.req.dop,
             pruning: self.pruning,
         };
         if let Some(winners) = self.memo.groups[gid].winners.get(&key) {
@@ -361,7 +350,6 @@ impl<'a> MemoOptimizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::TupleCostModel;
     use dqo_plan::expr::AggExpr;
     use dqo_storage::datagen::DatasetSpec;
 
@@ -386,18 +374,11 @@ mod tests {
     }
 
     fn optimize_in(memo: &mut Memo, cat: &Catalog, q: &LogicalPlan) -> PlannedQuery {
-        MemoOptimizer::new(
-            memo,
-            cat,
-            OptimizerMode::Deep,
-            &TupleCostModel,
-            None,
-            PropertyModel::AttributeStrict,
-            1,
-            None,
-        )
-        .optimize(q)
-        .unwrap()
+        let req = OptimizeRequest {
+            pmodel: PropertyModel::AttributeStrict,
+            ..OptimizeRequest::new(cat, OptimizerMode::Deep)
+        };
+        MemoOptimizer::new(memo, &req, None).optimize(q).unwrap()
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! SPH-based implementations simply never qualify. Running the *same* DP
 //! under both modes yields Figure 5's improvement factors.
 //!
-//! Since PR 9 the enumeration itself lives in the memo engine
-//! ([`crate::memo`] + `crate::rules`): every entry point below interns
-//! the query into a fresh [`crate::memo::Memo`] and fires the uniform
-//! rule set. This file keeps the public API, the candidate/pruning
-//! vocabulary, and the estimation arithmetic the rules share.
+//! The enumeration itself lives in the memo engine ([`crate::memo`] +
+//! `crate::rules`): [`optimize`] interns the query into a fresh
+//! [`crate::memo::Memo`] and fires the uniform rule set under one
+//! [`OptimizeRequest`]. This file keeps that entry point, the
+//! candidate/pruning vocabulary, and the estimation arithmetic the rules
+//! share.
 
 use crate::av::AvCatalog;
 use crate::catalog::Catalog;
@@ -113,122 +114,61 @@ pub struct PlannedQuery {
     pub mode: OptimizerMode,
 }
 
-/// Optimise `logical` against `catalog` with the Table 2 cost model under
-/// the paper's stream property model (reproduces Figure 5 verbatim).
-pub fn optimize(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-) -> Result<PlannedQuery> {
-    optimize_with(logical, catalog, mode, &TupleCostModel)
+/// Everything one optimisation depends on besides the logical plan: the
+/// single configuration [`optimize`] and [`MemoOptimizer::new`] take.
+///
+/// [`OptimizeRequest::new`] gives the paper's configuration — the Table 2
+/// cost model, no AVs, [`PropertyModel::PaperStream`] (Figure 5 verbatim)
+/// and serial plans — and the fields are public, so a caller overrides
+/// only what differs:
+/// `OptimizeRequest { dop: 4, ..OptimizeRequest::new(&catalog, mode) }`.
+#[derive(Clone, Copy)]
+pub struct OptimizeRequest<'a> {
+    /// Tables and the exact statistics the coster reads.
+    pub catalog: &'a Catalog,
+    /// Shallow (SQO) or deep (DQO) property visibility.
+    pub mode: OptimizerMode,
+    /// The cost model candidates are priced with.
+    pub model: &'a dyn CostModel,
+    /// Registered Algorithmic Views (§3): an applicable AV becomes a
+    /// zero-build-cost leaf alternative.
+    pub avs: Option<&'a AvCatalog>,
+    /// How sortedness propagates through operators.
+    pub pmodel: PropertyModel,
+    /// Degree of parallelism to plan for. With `dop > 1` the search also
+    /// enumerates, for every parallelisable organelle (HG/SPHG/SOG
+    /// groupings, HJ/SPHJ/SOJ joins, sorts, filters), an
+    /// [`PhysicalPlan::Exchange`]-wrapped twin costed with the parallel
+    /// extension of the cost model — so plans only go parallel when the
+    /// startup + merge overhead pays.
+    pub dop: usize,
 }
 
-/// Optimise under the sound attribute-strict property model.
-pub fn optimize_strict(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-) -> Result<PlannedQuery> {
-    optimize_full(
-        logical,
-        catalog,
-        mode,
-        &TupleCostModel,
-        None,
-        PropertyModel::AttributeStrict,
-    )
+impl<'a> OptimizeRequest<'a> {
+    /// The paper's configuration over `catalog` in `mode`: Table 2 cost
+    /// model, no AVs, stream property model, DOP 1.
+    pub fn new(catalog: &'a Catalog, mode: OptimizerMode) -> Self {
+        OptimizeRequest {
+            catalog,
+            mode,
+            model: &TupleCostModel,
+            avs: None,
+            pmodel: PropertyModel::PaperStream,
+            dop: 1,
+        }
+    }
 }
 
-/// Optimise with an explicit cost model (paper property model).
-pub fn optimize_with(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-    model: &dyn CostModel,
-) -> Result<PlannedQuery> {
-    optimize_full(
-        logical,
-        catalog,
-        mode,
-        model,
-        None,
-        PropertyModel::PaperStream,
-    )
-}
-
-/// Optimise while also considering registered Algorithmic Views (§3):
-/// an applicable AV becomes a zero-build-cost leaf alternative.
-pub fn optimize_with_avs(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-    avs: &AvCatalog,
-) -> Result<PlannedQuery> {
-    optimize_full(
-        logical,
-        catalog,
-        mode,
-        &TupleCostModel,
-        Some(avs),
-        PropertyModel::PaperStream,
-    )
-}
-
-/// The fully general entry point (serial plans only; see
-/// [`optimize_full_dop`] for DOP-aware planning).
-pub fn optimize_full(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-    model: &dyn CostModel,
-    avs: Option<&AvCatalog>,
-    pmodel: PropertyModel,
-) -> Result<PlannedQuery> {
-    optimize_full_dop(logical, catalog, mode, model, avs, pmodel, 1)
-}
-
-/// The fully general, DOP-aware entry point: with `dop > 1` the DP also
-/// enumerates, for every parallelisable organelle (HG/SPHG groupings,
-/// HJ/SPHJ joins, filters), an [`PhysicalPlan::Exchange`]-wrapped twin
-/// costed with the parallel extension of the cost model — so plans only
-/// go parallel when the startup + merge overhead pays.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_full_dop(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-    model: &dyn CostModel,
-    avs: Option<&AvCatalog>,
-    pmodel: PropertyModel,
-    dop: usize,
-) -> Result<PlannedQuery> {
-    // Free entry points build a fresh memo per call: callers may pass
-    // arbitrary cost models or hypothetical AV catalogs (the AVSP
-    // advisor does), so no state can be shared safely. The engine keeps
-    // a persistent memo for session queries.
-    let mut memo = Memo::new();
-    MemoOptimizer::new(&mut memo, catalog, mode, model, avs, pmodel, dop, None).optimize(logical)
-}
-
-/// Expose the full (pruned) candidate set of the root — used by tests and
-/// the depth-ablation experiment.
-pub fn enumerate_candidates(
-    logical: &LogicalPlan,
-    catalog: &Catalog,
-    mode: OptimizerMode,
-) -> Result<Vec<Candidate>> {
-    let mut memo = Memo::new();
-    MemoOptimizer::new(
-        &mut memo,
-        catalog,
-        mode,
-        &TupleCostModel,
-        None,
-        PropertyModel::PaperStream,
-        1,
-        None,
-    )
-    .candidates(logical)
+/// Optimise `logical` under `req` — the optimiser's one entry point.
+///
+/// Each call builds a fresh memo: callers may pass arbitrary cost models
+/// or hypothetical AV catalogs (the AVSP advisor does), so no state can
+/// be shared safely. The engine keeps a persistent memo for session
+/// queries and drives [`MemoOptimizer`] directly; so does a caller that
+/// wants the root's full pruned candidate set
+/// ([`MemoOptimizer::candidates`]).
+pub fn optimize(logical: &LogicalPlan, req: &OptimizeRequest<'_>) -> Result<PlannedQuery> {
+    MemoOptimizer::new(&mut Memo::new(), req, None).optimize(logical)
 }
 
 /// Interesting-property pruning: keep the cheapest candidate per property
@@ -366,7 +306,11 @@ mod tests {
     #[test]
     fn dqo_picks_og_on_sorted_input() {
         let cat = fig4_catalog(true, false);
-        let planned = optimize(&grouping_query(), &cat, OptimizerMode::Deep).unwrap();
+        let planned = optimize(
+            &grouping_query(),
+            &OptimizeRequest::new(&cat, OptimizerMode::Deep),
+        )
+        .unwrap();
         assert_eq!(planned.plan.algo_signature(), vec!["OG"]);
         assert_eq!(planned.est_cost, 10_000.0);
     }
@@ -374,7 +318,11 @@ mod tests {
     #[test]
     fn dqo_picks_sphg_on_unsorted_dense_input() {
         let cat = fig4_catalog(false, true);
-        let planned = optimize(&grouping_query(), &cat, OptimizerMode::Deep).unwrap();
+        let planned = optimize(
+            &grouping_query(),
+            &OptimizeRequest::new(&cat, OptimizerMode::Deep),
+        )
+        .unwrap();
         assert_eq!(planned.plan.algo_signature(), vec!["SPHG"]);
         assert_eq!(planned.est_cost, 10_000.0);
     }
@@ -382,7 +330,11 @@ mod tests {
     #[test]
     fn sqo_cannot_see_density() {
         let cat = fig4_catalog(false, true);
-        let planned = optimize(&grouping_query(), &cat, OptimizerMode::Shallow).unwrap();
+        let planned = optimize(
+            &grouping_query(),
+            &OptimizeRequest::new(&cat, OptimizerMode::Shallow),
+        )
+        .unwrap();
         // SPHG is invisible; with 100 groups BSG costs |R|·log₂100 ≈ 6.6|R|
         // > HG's 4|R|, and sort+OG costs even more → HG wins.
         assert_eq!(planned.plan.algo_signature(), vec!["HG"]);
@@ -398,7 +350,11 @@ mod tests {
             "t",
             DatasetSpec::new(10_000, 8).dense(false).relation().unwrap(),
         );
-        let planned = optimize(&grouping_query(), &cat, OptimizerMode::Shallow).unwrap();
+        let planned = optimize(
+            &grouping_query(),
+            &OptimizeRequest::new(&cat, OptimizerMode::Shallow),
+        )
+        .unwrap();
         assert_eq!(planned.plan.algo_signature(), vec!["BSG"]);
     }
 
@@ -408,8 +364,9 @@ mod tests {
             for dense in [true, false] {
                 let cat = fig4_catalog(sorted, dense);
                 let q = grouping_query();
-                let deep = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
-                let shallow = optimize(&q, &cat, OptimizerMode::Shallow).unwrap();
+                let deep = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Deep)).unwrap();
+                let shallow =
+                    optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Shallow)).unwrap();
                 assert!(
                     deep.est_cost <= shallow.est_cost,
                     "DQO ({}) worse than SQO ({}) at sorted={sorted} dense={dense}",
@@ -433,9 +390,9 @@ mod tests {
         cat.register("R", r);
         cat.register("S", s);
         let q = dqo_plan::logical::example_query_4_3();
-        let deep = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
+        let deep = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Deep)).unwrap();
         assert_eq!(deep.plan.algo_signature(), vec!["SPHG", "SPHJ"]);
-        let shallow = optimize(&q, &cat, OptimizerMode::Shallow).unwrap();
+        let shallow = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Shallow)).unwrap();
         assert_eq!(shallow.plan.algo_signature(), vec!["HG", "HJ"]);
         let factor = shallow.est_cost / deep.est_cost;
         assert!((factor - 4.0).abs() < 0.05, "factor = {factor}");
@@ -448,8 +405,8 @@ mod tests {
         cat.register("R", r);
         cat.register("S", s);
         let q = dqo_plan::logical::example_query_4_3();
-        let deep = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
-        let shallow = optimize(&q, &cat, OptimizerMode::Shallow).unwrap();
+        let deep = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Deep)).unwrap();
+        let shallow = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Shallow)).unwrap();
         assert_eq!(deep.plan.algo_signature(), vec!["OG", "OJ"]);
         assert_eq!(shallow.plan.algo_signature(), vec!["OG", "OJ"]);
         assert!((deep.est_cost - shallow.est_cost).abs() < 1e-9); // 1×
@@ -469,10 +426,10 @@ mod tests {
         cat.register("R", r);
         cat.register("S", s);
         let q = dqo_plan::logical::example_query_4_3();
-        let shallow = optimize(&q, &cat, OptimizerMode::Shallow).unwrap();
+        let shallow = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Shallow)).unwrap();
         assert_eq!(shallow.plan.algo_signature(), vec!["OG", "OJ", "SORT"]);
         // DQO beats the partial-sort plan with SPH: the 2.8× cell.
-        let deep = optimize(&q, &cat, OptimizerMode::Deep).unwrap();
+        let deep = optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Deep)).unwrap();
         assert_eq!(deep.plan.algo_signature(), vec!["SPHG", "SPHJ"]);
         let factor = shallow.est_cost / deep.est_cost;
         assert!((factor - 2.78).abs() < 0.02, "factor = {factor}");
@@ -510,7 +467,7 @@ mod tests {
         let cat = Catalog::new();
         let q = grouping_query();
         assert!(matches!(
-            optimize(&q, &cat, OptimizerMode::Deep),
+            optimize(&q, &OptimizeRequest::new(&cat, OptimizerMode::Deep)),
             Err(CoreError::UnknownTable(_))
         ));
     }
@@ -531,16 +488,11 @@ mod tests {
                     .unwrap(),
             );
             let q = LogicalPlan::sort(LogicalPlan::scan("t"), "key");
-            optimize_full_dop(
-                &q,
-                &cat,
-                OptimizerMode::Deep,
-                &TupleCostModel,
-                None,
-                PropertyModel::PaperStream,
+            let req = OptimizeRequest {
                 dop,
-            )
-            .unwrap()
+                ..OptimizeRequest::new(&cat, OptimizerMode::Deep)
+            };
+            optimize(&q, &req).unwrap()
         };
         let small = plan_for(2_000, 4);
         assert!(
@@ -586,16 +538,11 @@ mod tests {
         cat.register("S", s);
         let q = dqo_plan::logical::example_query_4_3();
         let plan_at = |dop| {
-            optimize_full_dop(
-                &q,
-                &cat,
-                OptimizerMode::Shallow,
-                &TupleCostModel,
-                None,
-                PropertyModel::PaperStream,
+            let req = OptimizeRequest {
                 dop,
-            )
-            .unwrap()
+                ..OptimizeRequest::new(&cat, OptimizerMode::Shallow)
+            };
+            optimize(&q, &req).unwrap()
         };
         let serial = plan_at(1);
         assert_eq!(serial.plan.algo_signature(), vec!["OG", "OJ", "SORT"]);

@@ -97,7 +97,7 @@ impl PlanCache {
     /// that pruned a partitioned scan did so against the *previous*
     /// execution's constants, so serving it verbatim would scan the wrong
     /// survivor set. The rebind recomputes the survivors from the fresh
-    /// predicate (see [`rebind_node`]); partition specs only change via
+    /// predicate (see `rebind_node`); partition specs only change via
     /// re-registration, which moves the DDL clock and makes the entry
     /// unreachable, so the spec consulted here is always the one the plan
     /// was built against.
@@ -344,8 +344,7 @@ fn rebind_node(plan: &PhysicalPlan, cx: &RebindCx<'_>, next: &mut usize) -> Opti
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::cost::TupleCostModel;
-    use crate::optimizer::{optimize_full_dop, OptimizerMode, PropertyModel};
+    use crate::optimizer::{optimize, OptimizeRequest, OptimizerMode, PropertyModel};
     use dqo_plan::expr::AggExpr;
     use dqo_plan::CmpOp;
     use dqo_storage::datagen::DatasetSpec;
@@ -363,16 +362,16 @@ mod tests {
     }
 
     fn plan(catalog: &Catalog, logical: &LogicalPlan) -> PlannedQuery {
-        optimize_full_dop(
-            logical,
-            catalog,
-            OptimizerMode::Deep,
-            &TupleCostModel,
-            None,
-            PropertyModel::AttributeStrict,
-            1,
-        )
-        .unwrap()
+        plan_at(catalog, logical, 1)
+    }
+
+    fn plan_at(catalog: &Catalog, logical: &LogicalPlan, dop: usize) -> PlannedQuery {
+        let req = OptimizeRequest {
+            pmodel: PropertyModel::AttributeStrict,
+            dop,
+            ..OptimizeRequest::new(catalog, OptimizerMode::Deep)
+        };
+        optimize(logical, &req).unwrap()
     }
 
     fn catalog() -> Catalog {
@@ -503,16 +502,7 @@ mod tests {
                 .relation()
                 .unwrap(),
         );
-        let cold = optimize_full_dop(
-            &filtered_group(5),
-            &cat,
-            OptimizerMode::Deep,
-            &TupleCostModel,
-            None,
-            PropertyModel::AttributeStrict,
-            4,
-        )
-        .unwrap();
+        let cold = plan_at(&cat, &filtered_group(5), 4);
         let registry = MetricsRegistry::new();
         let cache = PlanCache::new(8, &registry);
         cache.insert("k".into(), 1, &cold);

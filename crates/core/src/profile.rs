@@ -1,7 +1,8 @@
 //! Per-operator runtime profiles behind `EXPLAIN ANALYZE`.
 //!
-//! The instrumented executor ([`crate::executor::execute_traced`]) hands
-//! back one [`OperatorMetrics`] per physical-plan node in pre-order. This
+//! An instrumented execution ([`crate::executor::execute`] with
+//! [`crate::executor::ExecContext::collect_metrics`] set) hands back one
+//! [`OperatorMetrics`] per physical-plan node in pre-order. This
 //! module turns that vector into the annotated tree a user reads:
 //! estimated-vs-actual cardinality per node (the estimates recomputed with
 //! the optimiser's own rules, so the delta audits the cost model that

@@ -74,12 +74,12 @@ fn scan_rules(
     focus: Option<&str>,
 ) -> Result<Vec<Candidate>> {
     let props = opt.props.scan_props(table, focus)?;
-    let projected = opt.mode.project(props);
+    let projected = opt.req.mode.project(props);
     // A partitioned table's baseline scan is a PartitionedScan naming
     // every partition: the filter rule narrows the survivor set at
     // plan time and the runtime seeds partition-native morsels from it.
     // Flat-row-order emission keeps it bit-identical to a plain Scan.
-    let plan = match opt.catalog.partitioning_of(table) {
+    let plan = match opt.req.catalog.partitioning_of(table) {
         Some(p) => {
             opt.fire("scan-partitioned-impl");
             PhysicalPlan::PartitionedScan {
@@ -106,7 +106,7 @@ fn scan_rules(
     // AV implementation rule: a sorted projection provides the `sorted`
     // property at zero query-time cost (its build cost was paid offline —
     // the §3 trade-off).
-    if let (Some(avs), Some(col)) = (opt.avs, focus) {
+    if let (Some(avs), Some(col)) = (opt.req.avs, focus) {
         if let Some(av) = avs.lookup(table, col, AvKind::SortedProjection) {
             opt.fire("scan-av-sorted-projection");
             out.push(Candidate {
@@ -114,7 +114,7 @@ fn scan_rules(
                     table: av.signature.av_table_name(),
                 },
                 cost: 0.0,
-                props: opt.mode.project(av.provides),
+                props: opt.req.mode.project(av.provides),
                 sort_col: Some(col.to_owned()),
             });
         }
@@ -140,7 +140,7 @@ fn filter_rules(
         // estimate below shrink to the survivors' observed rowcounts.
         if opt.pruning {
             if let PhysicalPlan::PartitionedScan { table, parts, .. } = &mut c.plan {
-                if let Some(p) = opt.catalog.partitioning_of(table) {
+                if let Some(p) = opt.req.catalog.partitioning_of(table) {
                     let survivors = crate::partition_prune::prune_partitions(p.spec(), predicate);
                     let before = parts.len();
                     parts.retain(|i| survivors.contains(i));
@@ -159,11 +159,12 @@ fn filter_rules(
             opt.props
                 .selectivity_for(predicate, &c.props, table.as_deref(), parts.as_deref());
         let props = opt
+            .req
             .mode
             .project(opt.props.derive_filter(c.props, selectivity));
         opt.fire("filter-impl");
         let serial = Candidate {
-            cost: c.cost + opt.model.scan(c.props.rows as f64),
+            cost: c.cost + opt.req.model.scan(c.props.rows as f64),
             plan: PhysicalPlan::Filter {
                 input: Box::new(c.plan),
                 predicate: predicate.clone(),
@@ -174,13 +175,17 @@ fn filter_rules(
         let mut out = vec![serial];
         // Parallel-twin rule: same properties (mask concatenation
         // preserves row order), cheaper only past the startup cost.
-        if opt.dop > 1 {
+        if opt.req.dop > 1 {
             opt.fire("filter-parallel-twin");
             out.push(Candidate {
-                cost: c.cost + opt.model.parallel_scan(c.props.rows as f64, opt.dop),
+                cost: c.cost
+                    + opt
+                        .req
+                        .model
+                        .parallel_scan(c.props.rows as f64, opt.req.dop),
                 plan: PhysicalPlan::Exchange {
                     input: Box::new(out[0].plan.clone()),
-                    dop: opt.dop,
+                    dop: opt.req.dop,
                 },
                 props,
                 sort_col: c.sort_col,
@@ -277,11 +282,13 @@ fn join_rules(
     let left_tables: Vec<&str> = left.tables();
     let right_tables: Vec<&str> = right.tables();
     let d_left = opt
+        .req
         .catalog
         .resolve_column(left_tables.iter().copied(), left_key)
         .ok()
         .map(|(_, p)| p.distinct);
     let d_right = opt
+        .req
         .catalog
         .resolve_column(right_tables.iter().copied(), right_key)
         .ok()
@@ -304,7 +311,7 @@ fn join_rules(
                     continue;
                 }
                 let build_groups = d_left.unwrap_or(lc.props.rows).max(1) as f64;
-                let mut join_cost = opt.model.join(
+                let mut join_cost = opt.req.model.join(
                     algo,
                     lc.props.rows as f64,
                     rc.props.rows as f64,
@@ -315,7 +322,7 @@ fn join_rules(
                 let av_probe = algo == JoinImpl::Sphj && opt.sph_index_av(&lc.plan, left_key);
                 if av_probe {
                     opt.fire("join-av-sph-index");
-                    join_cost = opt.model.scan(rc.props.rows as f64);
+                    join_cost = opt.req.model.scan(rc.props.rows as f64);
                 }
                 let cost = lc.cost + rc.cost + join_cost;
                 let props = opt.join_output_props(algo, lc, rc, out_rows);
@@ -334,21 +341,21 @@ fn join_rules(
                 // stay serial.)
                 let parallelisable =
                     matches!(algo, JoinImpl::Hj | JoinImpl::Sphj | JoinImpl::Soj) && !av_probe;
-                if opt.dop > 1 && parallelisable {
+                if opt.req.dop > 1 && parallelisable {
                     opt.fire("join-parallel-twin");
                     out.push(Candidate {
                         plan: PhysicalPlan::Exchange {
                             input: Box::new(plan.clone()),
-                            dop: opt.dop,
+                            dop: opt.req.dop,
                         },
                         cost: lc.cost
                             + rc.cost
-                            + opt.model.parallel_join(
+                            + opt.req.model.parallel_join(
                                 algo,
                                 lc.props.rows as f64,
                                 rc.props.rows as f64,
                                 build_groups,
-                                opt.dop,
+                                opt.req.dop,
                             ),
                         props,
                         // Parallel SOJ concatenates partitions in key
@@ -394,7 +401,7 @@ fn group_by_rules(
     // Only matches the canonical (key, count, sum) shape so no renaming
     // machinery is needed.
     let mut av_candidates: Vec<Candidate> = Vec::new();
-    if let (Some(avs), LogicalPlan::Scan { table }) = (opt.avs, input) {
+    if let (Some(avs), LogicalPlan::Scan { table }) = (opt.req.avs, input) {
         let shape_ok = aggs.iter().all(|a| {
             matches!(
                 (&a.func, a.alias.as_str()),
@@ -408,8 +415,8 @@ fn group_by_rules(
                     plan: PhysicalPlan::Scan {
                         table: av.signature.av_table_name(),
                     },
-                    cost: opt.model.scan(av.provides.rows as f64),
-                    props: opt.mode.project(av.provides),
+                    cost: opt.req.model.scan(av.provides.rows as f64),
+                    props: opt.req.mode.project(av.provides),
                     sort_col: Some(key.to_owned()),
                 });
             }
@@ -420,10 +427,11 @@ fn group_by_rules(
     // range) from its source table — the §4.3 move: DQO knows R.a is
     // dense even downstream of a join.
     let key_stats = opt
+        .req
         .catalog
         .resolve_column(node.tables(), key)
         .ok()
-        .map(|(_, p)| opt.mode.project(PlanProps::from_data(&p)));
+        .map(|(_, p)| opt.req.mode.project(PlanProps::from_data(&p)));
 
     let groups = key_stats.and_then(|p| p.distinct);
     let key_dense = key_stats.map(|p| p.admits_sph()).unwrap_or(false);
@@ -448,11 +456,11 @@ fn group_by_rules(
                 continue;
             }
             let g = groups.unwrap_or(ic.props.rows).max(1) as f64;
-            let cost = ic.cost + opt.model.grouping(algo, ic.props.rows as f64, g);
+            let cost = ic.cost + opt.req.model.grouping(algo, ic.props.rows as f64, g);
             let out_rows = groups.unwrap_or(ic.props.rows);
             let sorted = algo.produces_sorted_output()
                 || (algo == GroupingImpl::Og && ic.props.sortedness.is_sorted());
-            let props = opt.mode.project(PlanProps {
+            let props = opt.req.mode.project(PlanProps {
                 sortedness: if sorted {
                     Sortedness::Ascending
                 } else {
@@ -475,11 +483,11 @@ fn group_by_rules(
             // behind the organelle name. A registered partial AV (§6)
             // overrides: its frozen decisions stand, and only its open
             // decisions are completed here.
-            let molecules = match opt.mode {
+            let molecules = match opt.req.mode {
                 OptimizerMode::Deep => {
                     let mut ref_props = key_stats.unwrap_or(ic.props);
                     ref_props.rows = ic.props.rows;
-                    let partial = match (opt.avs, input) {
+                    let partial = match (opt.req.avs, input) {
                         (Some(avs), LogicalPlan::Scan { table }) => avs.partial_for(table, key),
                         _ => None,
                     };
@@ -503,7 +511,7 @@ fn group_by_rules(
             // decomposable aggregates — COUNT/SUM/MIN/MAX/AVG all are.
             // The deterministic merges emit ascending keys, so the
             // parallel plan *gains* the sorted property serial HG lacks.
-            if opt.dop > 1
+            if opt.req.dop > 1
                 && matches!(
                     algo,
                     GroupingImpl::Hg | GroupingImpl::Sphg | GroupingImpl::Sog
@@ -526,14 +534,17 @@ fn group_by_rules(
                             algo,
                             molecules: par_molecules,
                         }),
-                        dop: opt.dop,
+                        dop: opt.req.dop,
                     },
                     cost: ic.cost
-                        + opt
-                            .model
-                            .parallel_grouping(algo, ic.props.rows as f64, g, opt.dop),
+                        + opt.req.model.parallel_grouping(
+                            algo,
+                            ic.props.rows as f64,
+                            g,
+                            opt.req.dop,
+                        ),
                     sort_col: Some(key.to_owned()),
-                    props: opt.mode.project(par_props),
+                    props: opt.req.mode.project(par_props),
                 });
             }
             opt.fire("group-by-impl");
@@ -582,7 +593,7 @@ fn composite_group_by_rules(
     // sum-of-first-key), so the aggregate list must be exactly that
     // shape — looser matches would surface the artifact's extra columns.
     let mut out: Vec<Candidate> = Vec::new();
-    if let (Some(avs), LogicalPlan::Scan { table }) = (opt.avs, input) {
+    if let (Some(avs), LogicalPlan::Scan { table }) = (opt.req.avs, input) {
         let shape_ok = aggs.len() == 2
             && aggs[0].func == dqo_plan::AggFunc::CountStar
             && aggs[0].alias == "count"
@@ -597,8 +608,8 @@ fn composite_group_by_rules(
                     plan: PhysicalPlan::Scan {
                         table: av.signature.av_table_name(),
                     },
-                    cost: opt.model.scan(av.provides.rows as f64),
-                    props: opt.mode.project(av.provides),
+                    cost: opt.req.model.scan(av.provides.rows as f64),
+                    props: opt.req.mode.project(av.provides),
                     sort_col: Some(keys[0].clone()),
                 });
             }
@@ -612,13 +623,13 @@ fn composite_group_by_rules(
             }
             let rows = ic.props.rows as f64;
             let g = groups.unwrap_or(ic.props.rows).max(1) as f64;
-            let pack = opt.model.composite_key_pack(rows, keys.len());
-            let cost = ic.cost + pack + opt.model.grouping(algo, rows, g);
+            let pack = opt.req.model.composite_key_pack(rows, keys.len());
+            let cost = ic.cost + pack + opt.req.model.grouping(algo, rows, g);
             let out_rows = groups.unwrap_or(ic.props.rows);
             // Packed outputs are normalised to ascending packed-code
             // order (lexicographic tuple order), so every composite
             // grouping emits sorted-by-first-key output.
-            let props = opt.mode.project(PlanProps {
+            let props = opt.req.mode.project(PlanProps {
                 sortedness: Sortedness::Ascending,
                 partitioned: true,
                 density: if key_dense {
@@ -631,7 +642,7 @@ fn composite_group_by_rules(
                 rows: out_rows,
                 layout: ic.props.layout,
             });
-            let molecules = match opt.mode {
+            let molecules = match opt.req.mode {
                 OptimizerMode::Deep => {
                     let mut ref_props = key_stats.unwrap_or(ic.props);
                     ref_props.rows = ic.props.rows;
@@ -646,7 +657,7 @@ fn composite_group_by_rules(
                 algo,
                 molecules,
             };
-            if opt.dop > 1 {
+            if opt.req.dop > 1 {
                 let mut par_molecules = molecules;
                 par_molecules.load_loop = Some(dqo_plan::LoopMolecule::Parallel);
                 opt.fire("group-by-parallel-twin");
@@ -659,11 +670,13 @@ fn composite_group_by_rules(
                             algo,
                             molecules: par_molecules,
                         }),
-                        dop: opt.dop,
+                        dop: opt.req.dop,
                     },
                     // The pack pass stays serial; only the grouping
                     // itself divides.
-                    cost: ic.cost + pack + opt.model.parallel_grouping(algo, rows, g, opt.dop),
+                    cost: ic.cost
+                        + pack
+                        + opt.req.model.parallel_grouping(algo, rows, g, opt.req.dop),
                     sort_col: Some(keys[0].clone()),
                     props,
                 });
@@ -691,7 +704,7 @@ impl MemoOptimizer<'_> {
         props.partitioned = true;
         self.fire("sort-enforcer");
         Candidate {
-            cost: c.cost + self.model.sort(c.props.rows as f64),
+            cost: c.cost + self.req.model.sort(c.props.rows as f64),
             plan: PhysicalPlan::Sort {
                 input: Box::new(c.plan),
                 key: key.to_owned(),
@@ -709,20 +722,24 @@ impl MemoOptimizer<'_> {
     /// ascending-order property.
     fn sort_enforcer_candidates(&mut self, c: Candidate, key: &str) -> Vec<Candidate> {
         let mut out = Vec::with_capacity(2);
-        if self.dop > 1 {
+        if self.req.dop > 1 {
             let mut props = c.props;
             props.sortedness = Sortedness::Ascending;
             props.partitioned = true;
             self.fire("sort-parallel-enforcer");
             out.push(Candidate {
-                cost: c.cost + self.model.parallel_sort(c.props.rows as f64, self.dop),
+                cost: c.cost
+                    + self
+                        .req
+                        .model
+                        .parallel_sort(c.props.rows as f64, self.req.dop),
                 plan: PhysicalPlan::Exchange {
                     input: Box::new(PhysicalPlan::Sort {
                         input: Box::new(c.plan.clone()),
                         key: key.to_owned(),
                         molecule: SortMolecule::Comparison,
                     }),
-                    dop: self.dop,
+                    dop: self.req.dop,
                 },
                 props,
                 sort_col: Some(key.to_owned()),
@@ -739,7 +756,7 @@ impl MemoOptimizer<'_> {
         // input would need an (unmodelled) reversal, so it does not
         // qualify.
         let asc = c.props.sortedness == Sortedness::Ascending;
-        match self.pmodel {
+        match self.req.pmodel {
             PropertyModel::PaperStream => asc,
             PropertyModel::AttributeStrict => asc && c.sort_col.as_deref() == Some(key),
         }
@@ -761,7 +778,7 @@ impl MemoOptimizer<'_> {
     /// Is there a materialisable SPH-index AV for this build side?
     /// Only a bare base-table scan can reuse a prebuilt row index.
     fn sph_index_av(&self, build_plan: &PhysicalPlan, key: &str) -> bool {
-        match (self.avs, build_plan) {
+        match (self.req.avs, build_plan) {
             (Some(avs), PhysicalPlan::Scan { table }) => {
                 avs.lookup(table, key, AvKind::SphIndex).is_some()
             }
@@ -815,7 +832,7 @@ impl MemoOptimizer<'_> {
             layout: lc.props.layout,
         };
         let _ = rc;
-        self.mode.project(props)
+        self.req.mode.project(props)
     }
 
     /// The composite key's plan properties, derived from the per-column
@@ -828,13 +845,14 @@ impl MemoOptimizer<'_> {
         let cols: Option<Vec<dqo_storage::DataProps>> = keys
             .iter()
             .map(|key| {
-                self.catalog
+                self.req
+                    .catalog
                     .resolve_column(tables.iter().copied(), key)
                     .ok()
                     .map(|(_, p)| p)
             })
             .collect();
         let combined = crate::av::combine_composite_props(&cols?);
-        Some(self.mode.project(PlanProps::from_data(&combined)))
+        Some(self.req.mode.project(PlanProps::from_data(&combined)))
     }
 }

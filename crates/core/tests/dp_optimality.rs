@@ -6,7 +6,7 @@
 //! brute force would find a cheaper plan.
 
 use dqo_core::cost::{CostModel, TupleCostModel};
-use dqo_core::optimizer::{optimize, OptimizerMode};
+use dqo_core::optimizer::{optimize, OptimizeRequest, OptimizerMode};
 use dqo_core::Catalog;
 use dqo_plan::{GroupingImpl, JoinImpl};
 use dqo_storage::datagen::ForeignKeySpec;
@@ -91,7 +91,7 @@ fn dp_matches_brute_force_on_every_figure5_cell() {
                 catalog.register("S", s);
                 let q = dqo_plan::logical::example_query_4_3();
                 for (mode, deep) in [(OptimizerMode::Shallow, false), (OptimizerMode::Deep, true)] {
-                    let planned = optimize(&q, &catalog, mode).unwrap();
+                    let planned = optimize(&q, &OptimizeRequest::new(&catalog, mode)).unwrap();
                     let expected = brute_force_cost(
                         25_000.0, 90_000.0, 90_000.0, 20_000.0, r_sorted, s_sorted, dense, deep,
                     );
@@ -126,7 +126,7 @@ fn dp_matches_brute_force_across_sizes() {
         catalog.register("R", r);
         catalog.register("S", s);
         let q = dqo_plan::logical::example_query_4_3();
-        let planned = optimize(&q, &catalog, OptimizerMode::Deep).unwrap();
+        let planned = optimize(&q, &OptimizeRequest::new(&catalog, OptimizerMode::Deep)).unwrap();
         let expected = brute_force_cost(
             r_rows as f64,
             s_rows as f64,

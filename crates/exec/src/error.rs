@@ -29,6 +29,14 @@ pub enum ExecError {
     /// The parallel scheduler failed the batch (e.g. a worker task
     /// panicked); surfaced to the submitting query only.
     Scheduler(String),
+    /// Segment bounds handed to a parallel kernel do not cover the input
+    /// exactly: they must start at 0, never decrease and end at `rows`.
+    BadBounds {
+        /// Input length the bounds had to span.
+        rows: usize,
+        /// The offending bounds.
+        bounds: Vec<usize>,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -43,6 +51,10 @@ impl fmt::Display for ExecError {
             ExecError::Storage(e) => write!(f, "storage error: {e}"),
             ExecError::MissingInput(msg) => write!(f, "missing input: {msg}"),
             ExecError::Scheduler(msg) => write!(f, "scheduler error: {msg}"),
+            ExecError::BadBounds { rows, bounds } => write!(
+                f,
+                "segment bounds {bounds:?} must start at 0, never decrease and end at {rows}"
+            ),
         }
     }
 }

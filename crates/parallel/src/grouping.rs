@@ -11,7 +11,7 @@
 //! work stealing split the morsels, so the output is **deterministic**
 //! (and emitted in ascending key order) for any thread count.
 
-use crate::morsel::{morsels, morsels_within, Morsel};
+use crate::morsel::{check_bounds, morsels_within, Morsel};
 use crate::pool::ThreadPool;
 use dqo_exec::aggregate::Aggregator;
 use dqo_exec::grouping::{hg, GroupedResult};
@@ -36,6 +36,14 @@ pub enum GroupingStrategy {
 
 /// Parallel grouping of `keys`/`values` under `agg`.
 ///
+/// Morsels are cut within the segment `bounds` (see
+/// [`crate::morsel::morsels_within`]), so no work unit mixes rows from
+/// two partitions; an input that is not partitioned passes
+/// `[0, keys.len()]`. Because the aggregate is decomposable and the merge
+/// is key-ordered, the result is bit-identical for any valid bounds —
+/// the segmentation only changes which rows travel together. Bounds that
+/// do not span `0..keys.len()` are an [`ExecError::BadBounds`].
+///
 /// Returns the grouped result (ascending key order, [`GroupedResult::sorted_by_key`]
 /// set) plus the pipeline accounting: the input pass is a full breaker
 /// exactly like serial HG/SPHG, and the merge of per-worker partials is a
@@ -46,50 +54,8 @@ pub fn parallel_grouping<A: Aggregator>(
     values: &[u32],
     agg: A,
     strategy: GroupingStrategy,
-    morsel_rows: usize,
-) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    grouping_over(
-        pool,
-        keys,
-        values,
-        agg,
-        strategy,
-        &morsels(keys.len(), morsel_rows),
-    )
-}
-
-/// Partition-native [`parallel_grouping`]: morsels are generated within
-/// the segment `bounds` (see [`crate::morsel::morsels_within`]) so no
-/// work unit mixes rows from two partitions. Because the aggregate is
-/// decomposable and the merge is key-ordered, the result is bit-identical
-/// to [`parallel_grouping`] for any bounds — the segmentation only
-/// changes which rows travel together.
-pub fn parallel_grouping_segmented<A: Aggregator>(
-    pool: &ThreadPool,
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    strategy: GroupingStrategy,
     bounds: &[usize],
     morsel_rows: usize,
-) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    grouping_over(
-        pool,
-        keys,
-        values,
-        agg,
-        strategy,
-        &morsels_within(bounds, morsel_rows),
-    )
-}
-
-fn grouping_over<A: Aggregator>(
-    pool: &ThreadPool,
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    strategy: GroupingStrategy,
-    ms: &[Morsel],
 ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
     assert!(
         A::IS_DECOMPOSABLE,
@@ -101,12 +67,14 @@ fn grouping_over<A: Aggregator>(
             values: values.len(),
         });
     }
+    check_bounds(bounds, keys.len())?;
+    let ms = morsels_within(bounds, morsel_rows);
     let mut stats = PipelineStats::default();
     stats.record(Blocking::FullBreaker, keys.len() as u64);
     let result = match strategy {
-        GroupingStrategy::Hash => hash_strategy(pool, keys, values, agg, ms)?,
+        GroupingStrategy::Hash => hash_strategy(pool, keys, values, agg, &ms)?,
         GroupingStrategy::StaticPerfectHash { min, max } => {
-            sph_strategy(pool, keys, values, agg, min, max, ms)?
+            sph_strategy(pool, keys, values, agg, min, max, &ms)?
         }
     };
     // The merge pass is a second breaker. It is accounted at the merged
@@ -274,44 +242,19 @@ mod tests {
         let serial = serial_sorted(&keys, &vals);
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(threads);
-            let (r, stats) =
-                parallel_grouping(&pool, &keys, &vals, CountSum, GroupingStrategy::Hash, 1024)
-                    .unwrap();
+            let (r, stats) = parallel_grouping(
+                &pool,
+                &keys,
+                &vals,
+                CountSum,
+                GroupingStrategy::Hash,
+                &[0, keys.len()],
+                1024,
+            )
+            .unwrap();
             assert_eq!(r, serial, "threads={threads}");
             assert!(stats.breakers >= 2);
         }
-    }
-
-    #[test]
-    fn segmented_grouping_is_bit_identical_to_plain() {
-        let (keys, vals) = dataset(40_000, 53);
-        let pool = ThreadPool::new(4);
-        let (plain, _) =
-            parallel_grouping(&pool, &keys, &vals, CountSum, GroupingStrategy::Hash, 512).unwrap();
-        // Uneven partition-style segments, including an empty one.
-        let bounds = [0usize, 1, 1, 7_000, 19_999, 40_000];
-        let (seg, _) = parallel_grouping_segmented(
-            &pool,
-            &keys,
-            &vals,
-            CountSum,
-            GroupingStrategy::Hash,
-            &bounds,
-            512,
-        )
-        .unwrap();
-        assert_eq!(seg, plain);
-        let (seg_sph, _) = parallel_grouping_segmented(
-            &pool,
-            &keys,
-            &vals,
-            CountSum,
-            GroupingStrategy::StaticPerfectHash { min: 0, max: 52 },
-            &bounds,
-            512,
-        )
-        .unwrap();
-        assert_eq!(seg_sph, plain);
     }
 
     #[test]
@@ -325,6 +268,7 @@ mod tests {
             &vals,
             CountSum,
             GroupingStrategy::StaticPerfectHash { min: 0, max: 63 },
+            &[0, keys.len()],
             512,
         )
         .unwrap();
@@ -341,6 +285,7 @@ mod tests {
             &[0, 0, 0],
             CountSum,
             GroupingStrategy::StaticPerfectHash { min: 0, max: 7 },
+            &[0, 3],
             DEFAULT_MORSEL_ROWS,
         );
         assert!(matches!(r, Err(ExecError::PreconditionViolated { .. })));
@@ -349,8 +294,16 @@ mod tests {
     #[test]
     fn empty_input() {
         let pool = ThreadPool::new(4);
-        let (r, stats) =
-            parallel_grouping(&pool, &[], &[], CountSum, GroupingStrategy::Hash, 64).unwrap();
+        let (r, stats) = parallel_grouping(
+            &pool,
+            &[],
+            &[],
+            CountSum,
+            GroupingStrategy::Hash,
+            &[0, 0],
+            64,
+        )
+        .unwrap();
         assert!(r.is_empty());
         assert!(r.sorted_by_key);
         assert_eq!(stats.materialised_rows, 0);
@@ -360,7 +313,15 @@ mod tests {
     fn length_mismatch_is_an_error() {
         let pool = ThreadPool::new(2);
         assert!(matches!(
-            parallel_grouping(&pool, &[1, 2], &[1], CountSum, GroupingStrategy::Hash, 64),
+            parallel_grouping(
+                &pool,
+                &[1, 2],
+                &[1],
+                CountSum,
+                GroupingStrategy::Hash,
+                &[0, 2],
+                64
+            ),
             Err(ExecError::LengthMismatch { .. })
         ));
     }
@@ -369,12 +330,27 @@ mod tests {
     fn repeated_runs_are_identical() {
         let (keys, vals) = dataset(20_000, 31);
         let pool = ThreadPool::new(8);
-        let (first, _) =
-            parallel_grouping(&pool, &keys, &vals, CountSum, GroupingStrategy::Hash, 256).unwrap();
+        let (first, _) = parallel_grouping(
+            &pool,
+            &keys,
+            &vals,
+            CountSum,
+            GroupingStrategy::Hash,
+            &[0, keys.len()],
+            256,
+        )
+        .unwrap();
         for _ in 0..5 {
-            let (again, _) =
-                parallel_grouping(&pool, &keys, &vals, CountSum, GroupingStrategy::Hash, 256)
-                    .unwrap();
+            let (again, _) = parallel_grouping(
+                &pool,
+                &keys,
+                &vals,
+                CountSum,
+                GroupingStrategy::Hash,
+                &[0, keys.len()],
+                256,
+            )
+            .unwrap();
             assert_eq!(again, first);
         }
     }

@@ -6,7 +6,10 @@
 //! morsel-driven style (Leis et al., SIGMOD 2014), built for serving
 //! many sessions at once:
 //!
-//! * [`morsel`] — cache-sized row ranges, the unit of parallel work;
+//! * [`morsel`] — cache-sized row ranges, the unit of parallel work, and
+//!   the segment bounds every kernel takes (one segment per surviving
+//!   partition range, or `[0, n]` for an input that is not partitioned),
+//!   checked once by [`check_bounds`];
 //! * [`persistent`] — the [`PersistentPool`]: long-lived workers parked
 //!   on a condvar, a global injector plus per-worker deques that
 //!   interleave jobs from multiple queries, batch handles with blocking
@@ -24,7 +27,6 @@
 //!   deterministic sorted merge;
 //! * [`join`] — the partitioned parallel hash join (parallel partition →
 //!   per-partition build → parallel probe) and a parallel SPHJ probe;
-//! * [`filter`] — morsel-parallel predicate masks;
 //! * [`sort`] + [`merge_path`] — the parallel sort subsystem: per-worker
 //!   run formation (pdqsort or LSB radix, the serial molecule decision)
 //!   followed by a Merge Path multi-way merge whose per-worker output
@@ -57,7 +59,6 @@
 
 pub mod admission;
 pub mod av_build;
-pub mod filter;
 pub mod grouping;
 pub mod join;
 pub mod merge_path;
@@ -68,14 +69,51 @@ pub mod sort;
 
 pub use admission::{AdmissionController, AdmissionPermit};
 pub use av_build::{parallel_gather, parallel_sph_index_build};
-pub use filter::{parallel_compare_mask, parallel_mask};
-pub use grouping::{parallel_grouping, parallel_grouping_segmented, GroupingStrategy};
-pub use join::{parallel_hash_join, parallel_hash_join_segmented, parallel_sph_join};
-pub use morsel::{morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
+pub use grouping::{parallel_grouping, GroupingStrategy};
+pub use join::{parallel_hash_join, parallel_sph_join};
+pub use morsel::{check_bounds, morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, BatchHandle, PersistentPool};
 pub use pool::{BatchObs, PoolError, ThreadPool};
 pub use sort::{
-    parallel_argsort, parallel_argsort_segmented, parallel_sog, parallel_sog_segmented,
-    parallel_sort_index, parallel_sort_index_segmented, parallel_sort_merge_join,
-    parallel_sort_merge_join_segmented, RunSortMolecule,
+    parallel_argsort, parallel_sog, parallel_sort_index, parallel_sort_merge_join, RunSortMolecule,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dqo_exec::aggregate::CountSum;
+    use dqo_exec::ExecError;
+
+    /// Every kernel that takes segment bounds rejects bounds that do not
+    /// span its input, and accepts the full span and empty segments.
+    #[test]
+    fn every_kernel_checks_its_bounds() {
+        let keys: Vec<u32> = (0..100u32).map(|i| i % 7).collect();
+        let n = keys.len();
+        let pool = ThreadPool::new(2);
+        let m = RunSortMolecule::Comparison;
+        let run = |b: &[usize]| -> Vec<Result<(), ExecError>> {
+            vec![
+                parallel_grouping(&pool, &keys, &keys, CountSum, GroupingStrategy::Hash, b, 16)
+                    .map(drop),
+                parallel_hash_join(&pool, &keys, &keys, b, 16).map(drop),
+                parallel_sort_index(&pool, &keys, m, b).map(drop),
+                parallel_argsort(&pool, &keys, m, b).map(drop),
+                parallel_sog(&pool, &keys, &keys, CountSum, m, b).map(drop),
+                parallel_sort_merge_join(&pool, &keys, &keys, m, b).map(drop),
+            ]
+        };
+        for r in run(&[0, n / 2]) {
+            assert_eq!(
+                r,
+                Err(ExecError::BadBounds {
+                    rows: n,
+                    bounds: vec![0, n / 2]
+                })
+            );
+        }
+        for ok in [vec![0, n], vec![0, 0, 30, 30, n, n]] {
+            assert!(run(&ok).iter().all(Result::is_ok), "bounds {ok:?}");
+        }
+    }
+}

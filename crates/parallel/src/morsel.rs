@@ -8,6 +8,8 @@
 //! here over one morsel at a time, and workers steal morsels instead of
 //! waiting on a partitioning decided up front.
 
+use dqo_exec::ExecError;
+
 /// Default morsel size in rows: 64Ki rows ≈ 256 KiB per `u32` column,
 /// comfortably inside L2 while large enough to amortise scheduling.
 pub const DEFAULT_MORSEL_ROWS: usize = 1 << 16;
@@ -50,11 +52,30 @@ pub fn morsels(rows: usize, morsel_rows: usize) -> Vec<Morsel> {
         .collect()
 }
 
+/// Check that segment `bounds` cover `0..rows` exactly: they start at 0,
+/// never decrease and end at `rows`. Every kernel that takes bounds
+/// checks them here first, so rows outside the listed segments are
+/// rejected with [`ExecError::BadBounds`] instead of silently dropped.
+/// An input that is not partitioned passes `[0, rows]`.
+pub fn check_bounds(bounds: &[usize], rows: usize) -> Result<(), ExecError> {
+    let spans = bounds.first() == Some(&0)
+        && bounds.last() == Some(&rows)
+        && bounds.windows(2).all(|w| w[0] <= w[1]);
+    if spans {
+        Ok(())
+    } else {
+        Err(ExecError::BadBounds {
+            rows,
+            bounds: bounds.to_vec(),
+        })
+    }
+}
+
 /// Chop each segment `[bounds[i], bounds[i + 1])` into morsels of at most
 /// `morsel_rows` rows, in row order, such that **no morsel crosses a
-/// segment boundary**. `bounds` must be non-decreasing offsets starting
-/// at the first row and ending one past the last (empty segments yield no
-/// morsels). With `bounds == [0, rows]` this is exactly [`morsels`].
+/// segment boundary**. `bounds` must pass [`check_bounds`] (empty
+/// segments yield no morsels). With `bounds == [0, rows]` this is exactly
+/// [`morsels`].
 ///
 /// This is how partitioned scans seed partition-native parallel work:
 /// one segment per surviving partition range, so per-morsel kernels
@@ -138,6 +159,22 @@ mod tests {
         assert_eq!(morsels_within(&[0, 0, 5, 5, 5], 2).len(), 3);
         assert!(morsels_within(&[0], 64).is_empty());
         assert!(morsels_within(&[], 64).is_empty());
+    }
+
+    #[test]
+    fn bounds_must_span_the_input() {
+        assert!(check_bounds(&[0, 10], 10).is_ok());
+        assert!(check_bounds(&[0, 0, 4, 4, 10], 10).is_ok());
+        assert!(check_bounds(&[0], 0).is_ok());
+        for bad in [&[][..], &[0, 5], &[1, 10], &[0, 6, 4, 10], &[0, 11]] {
+            assert_eq!(
+                check_bounds(bad, 10),
+                Err(ExecError::BadBounds {
+                    rows: 10,
+                    bounds: bad.to_vec()
+                })
+            );
+        }
     }
 
     #[test]

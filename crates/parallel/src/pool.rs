@@ -25,7 +25,7 @@
 //! the amortisation `dqo-core`'s cost model now reflects with its much
 //! smaller per-worker dispatch term.
 
-use crate::morsel::{morsels, Morsel};
+use crate::morsel::Morsel;
 use crate::persistent::{default_threads, panic_message, PersistentPool};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -197,24 +197,10 @@ impl ThreadPool {
         self.pool.record_batch(tasks, steals);
     }
 
-    /// Map every morsel of `rows` through `f`, returning the per-morsel
-    /// results **in morsel order** — parallel output is deterministic
-    /// regardless of which worker ran which morsel.
-    pub fn map_morsels<T, F>(
-        &self,
-        rows: usize,
-        morsel_rows: usize,
-        f: F,
-    ) -> Result<Vec<T>, PoolError>
-    where
-        T: Send,
-        F: Fn(Morsel) -> T + Sync,
-    {
-        self.map_morsel_list(&morsels(rows, morsel_rows), f)
-    }
-
-    /// Map an explicit morsel list through `f`, results in list order —
-    /// the partition-native entry point: callers build the list with
+    /// Map every morsel of `ms` through `f`, returning the per-morsel
+    /// results **in list order** — parallel output is deterministic
+    /// regardless of which worker ran which morsel. Callers build the
+    /// list with [`crate::morsel::morsels`], or with
     /// [`crate::morsel::morsels_within`] so no morsel spans a partition
     /// boundary.
     pub fn map_morsel_list<T, F>(&self, ms: &[Morsel], f: F) -> Result<Vec<T>, PoolError>
@@ -248,7 +234,7 @@ impl ThreadPool {
             .collect())
     }
 
-    /// Fold all morsels into **per-slot** states: each runner slot lazily
+    /// Fold every morsel of `ms` into **per-slot** states: each runner slot lazily
     /// creates one state with `init` and folds every morsel it executes
     /// into it with `step`. Returns the states of slots that ran at
     /// least one morsel, in slot order.
@@ -258,25 +244,6 @@ impl ThreadPool {
     /// is insensitive to that split — true for decomposable aggregates
     /// ([`dqo_exec::aggregate::Aggregator::IS_DECOMPOSABLE`]), which is
     /// why the optimiser only parallelises those.
-    pub fn fold_morsels<S, I, F>(
-        &self,
-        rows: usize,
-        morsel_rows: usize,
-        init: I,
-        step: F,
-    ) -> Result<Vec<S>, PoolError>
-    where
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, Morsel) + Sync,
-    {
-        self.fold_morsel_list(&morsels(rows, morsel_rows), init, step)
-    }
-
-    /// [`ThreadPool::fold_morsels`] over an explicit morsel list — the
-    /// partition-native twin of [`ThreadPool::map_morsel_list`]. The same
-    /// determinism caveat applies: downstream merges must be insensitive
-    /// to which slot folded which morsel.
     pub fn fold_morsel_list<S, I, F>(
         &self,
         ms: &[Morsel],
@@ -390,6 +357,7 @@ impl WorkQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morsel::morsels;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -402,16 +370,16 @@ mod tests {
     }
 
     #[test]
-    fn map_morsels_is_deterministic_across_thread_counts() {
+    fn map_morsel_list_is_deterministic_across_thread_counts() {
         let data: Vec<u32> = (0..100_000).collect();
         let serial = ThreadPool::new(1)
-            .map_morsels(data.len(), 1024, |m| {
+            .map_morsel_list(&morsels(data.len(), 1024), |m| {
                 m.of(&data).iter().map(|&v| u64::from(v)).sum::<u64>()
             })
             .unwrap();
         for threads in [2, 3, 8] {
             let par = ThreadPool::new(threads)
-                .map_morsels(data.len(), 1024, |m| {
+                .map_morsel_list(&morsels(data.len(), 1024), |m| {
                     m.of(&data).iter().map(|&v| u64::from(v)).sum::<u64>()
                 })
                 .unwrap();
@@ -420,10 +388,10 @@ mod tests {
     }
 
     #[test]
-    fn fold_morsels_partitions_all_rows() {
+    fn fold_morsel_list_partitions_all_rows() {
         let pool = ThreadPool::new(4);
         let counts = pool
-            .fold_morsels(10_000, 128, || 0usize, |acc, m| *acc += m.len())
+            .fold_morsel_list(&morsels(10_000, 128), || 0usize, |acc, m| *acc += m.len())
             .unwrap();
         assert!(counts.len() <= 4);
         assert_eq!(counts.iter().sum::<usize>(), 10_000);
@@ -444,9 +412,9 @@ mod tests {
     fn zero_tasks_and_zero_rows() {
         let pool = ThreadPool::new(4);
         assert!(pool.map_tasks(0, |t| t).unwrap().is_empty());
-        assert!(pool.map_morsels(0, 64, |m| m.len()).unwrap().is_empty());
+        assert!(pool.map_morsel_list(&[], |m| m.len()).unwrap().is_empty());
         assert!(pool
-            .fold_morsels(0, 64, || 0usize, |_, _| {})
+            .fold_morsel_list(&[], || 0usize, |_, _| {})
             .unwrap()
             .is_empty());
     }
@@ -472,7 +440,8 @@ mod tests {
         let obs = Arc::new(BatchObs::default());
         let pool = ThreadPool::new(4).with_obs(Arc::clone(&obs));
         pool.map_tasks(100, |t| t).unwrap();
-        pool.map_morsels(10_000, 128, |m| m.len()).unwrap();
+        pool.map_morsel_list(&morsels(10_000, 128), |m| m.len())
+            .unwrap();
         assert_eq!(obs.batches(), 2);
         assert_eq!(obs.tasks(), 100 + 10_000usize.div_ceil(128) as u64);
         // Steals are scheduling-dependent; the counter just must not

@@ -27,6 +27,7 @@
 //! bit-identical to their serial counterparts (`sog::sort_order_grouping`,
 //! `soj::sort_merge_join`) at every DOP.
 
+use crate::morsel::check_bounds;
 use crate::pool::{PoolError, ThreadPool};
 use dqo_exec::aggregate::Aggregator;
 use dqo_exec::grouping::GroupedResult;
@@ -60,44 +61,32 @@ pub enum RunSortMolecule {
 /// column is the stable argsort permutation — plus pipeline accounting
 /// (run formation is a full breaker; the merge, when it happens, is a
 /// second one).
+///
+/// Run formation follows the segment `bounds` (checked like every
+/// kernel's, see [`check_bounds`]; empty segments are skipped): several
+/// non-empty segments give one sorted run per segment — one per surviving
+/// base-table partition range, so no run crosses a partition boundary —
+/// and a single segment (`[0, n]` for an input that is not partitioned)
+/// is split evenly into `min(threads, ⌈n / MIN_RUN_ROWS⌉)` runs. The
+/// Merge Path merge is correct and deterministic for any run bounds, so
+/// the output is bit-identical to serial argsort however the input was
+/// segmented.
 pub fn parallel_sort_index(
     pool: &ThreadPool,
     keys: &[u32],
     molecule: RunSortMolecule,
-) -> Result<(Vec<(u32, u32)>, PipelineStats), PoolError> {
-    let n = keys.len();
-    let runs_n = pool.threads().min(n.div_ceil(MIN_RUN_ROWS)).max(1);
-    // Block boundaries depend only on (n, runs_n), never on scheduling.
-    let bounds: Vec<usize> = (0..=runs_n).map(|r| r * n / runs_n).collect();
-    sort_index_over(pool, keys, molecule, &bounds)
-}
-
-/// Partition-native [`parallel_sort_index`]: run formation uses the
-/// given segment `bounds` — one sorted run per surviving base-table
-/// partition range — instead of an even split, so no run ever crosses a
-/// partition boundary. The Merge Path merge is correct and deterministic
-/// for **any** run bounds, so the output is bit-identical to
-/// [`parallel_sort_index`] (and to serial argsort) regardless of how the
-/// input was segmented. Degenerate bounds (not spanning `0..n`) fall
-/// back to the even split.
-pub fn parallel_sort_index_segmented(
-    pool: &ThreadPool,
-    keys: &[u32],
-    molecule: RunSortMolecule,
     bounds: &[usize],
-) -> Result<(Vec<(u32, u32)>, PipelineStats), PoolError> {
+) -> Result<(Vec<(u32, u32)>, PipelineStats), ExecError> {
     let n = keys.len();
-    // Drop empty segments; they would become empty runs in the merge.
-    let mut b: Vec<usize> = Vec::with_capacity(bounds.len());
-    for &x in bounds {
-        if b.last() != Some(&x) {
-            b.push(x);
-        }
+    check_bounds(bounds, n)?;
+    let mut runs = bounds.to_vec();
+    runs.dedup();
+    if runs.len() <= 2 {
+        let runs_n = pool.threads().min(n.div_ceil(MIN_RUN_ROWS)).max(1);
+        // Block boundaries depend only on (n, runs_n), never on scheduling.
+        runs = (0..=runs_n).map(|r| r * n / runs_n).collect();
     }
-    if b.len() < 2 || b.first() != Some(&0) || b.last() != Some(&n) {
-        return parallel_sort_index(pool, keys, molecule);
-    }
-    sort_index_over(pool, keys, molecule, &b)
+    Ok(sort_index_over(pool, keys, molecule, &runs)?)
 }
 
 fn sort_index_over(
@@ -182,26 +171,15 @@ fn sort_index_over(
 
 /// Indices that would sort `keys` ascending, equal keys in input order —
 /// the parallel twin of [`dqo_exec::sort::argsort`], bit-identical to it
-/// at every DOP.
+/// at every DOP for any valid segment `bounds` (see
+/// [`parallel_sort_index`]).
 pub fn parallel_argsort(
     pool: &ThreadPool,
     keys: &[u32],
     molecule: RunSortMolecule,
-) -> Result<(Vec<u32>, PipelineStats), PoolError> {
-    let (pairs, stats) = parallel_sort_index(pool, keys, molecule)?;
-    Ok((pairs.into_iter().map(|(_, row)| row).collect(), stats))
-}
-
-/// Partition-native [`parallel_argsort`]: one run per segment of
-/// `bounds` (see [`parallel_sort_index_segmented`]). Bit-identical to
-/// the plain variant at every DOP.
-pub fn parallel_argsort_segmented(
-    pool: &ThreadPool,
-    keys: &[u32],
-    molecule: RunSortMolecule,
     bounds: &[usize],
-) -> Result<(Vec<u32>, PipelineStats), PoolError> {
-    let (pairs, stats) = parallel_sort_index_segmented(pool, keys, molecule, bounds)?;
+) -> Result<(Vec<u32>, PipelineStats), ExecError> {
+    let (pairs, stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
     Ok((pairs.into_iter().map(|(_, row)| row).collect(), stats))
 }
 
@@ -210,25 +188,12 @@ pub fn parallel_argsort_segmented(
 /// decomposable aggregate (merging the two partial states of a group
 /// split across a range boundary must be exact) — true for
 /// COUNT/SUM/MIN/MAX/AVG, which is all the engine plans in parallel.
-/// Output keys ascend; the result equals serial
-/// [`dqo_exec::grouping::sog::sort_order_grouping`] bit for bit.
+/// The sort phase forms its runs from the segment `bounds` (see
+/// [`parallel_sort_index`]); the range-parallel aggregation over the
+/// *sorted* pairs does not depend on them. Output keys ascend; the
+/// result equals serial [`dqo_exec::grouping::sog::sort_order_grouping`]
+/// bit for bit.
 pub fn parallel_sog<A: Aggregator>(
-    pool: &ThreadPool,
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    molecule: RunSortMolecule,
-) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    check_sog_inputs::<A>(keys, values)?;
-    let (sorted, stats) = parallel_sort_index(pool, keys, molecule)?;
-    sog_finish(pool, values, agg, sorted, stats)
-}
-
-/// Partition-native [`parallel_sog`]: the sort phase seeds one run per
-/// segment of `bounds` (see [`parallel_sort_index_segmented`]); the
-/// range-parallel aggregation over the *sorted* pairs is unchanged.
-/// Bit-identical to the plain variant at every DOP.
-pub fn parallel_sog_segmented<A: Aggregator>(
     pool: &ThreadPool,
     keys: &[u32],
     values: &[u32],
@@ -236,12 +201,6 @@ pub fn parallel_sog_segmented<A: Aggregator>(
     molecule: RunSortMolecule,
     bounds: &[usize],
 ) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
-    check_sog_inputs::<A>(keys, values)?;
-    let (sorted, stats) = parallel_sort_index_segmented(pool, keys, molecule, bounds)?;
-    sog_finish(pool, values, agg, sorted, stats)
-}
-
-fn check_sog_inputs<A: Aggregator>(keys: &[u32], values: &[u32]) -> Result<(), ExecError> {
     assert!(
         A::IS_DECOMPOSABLE,
         "parallel SOG requires a decomposable aggregate"
@@ -252,26 +211,17 @@ fn check_sog_inputs<A: Aggregator>(keys: &[u32], values: &[u32]) -> Result<(), E
             values: values.len(),
         });
     }
-    Ok(())
-}
-
-fn sog_finish<A: Aggregator>(
-    pool: &ThreadPool,
-    values: &[u32],
-    agg: A,
-    sorted: Vec<(u32, u32)>,
-    mut stats: PipelineStats,
-) -> Result<(GroupedResult<A::State>, PipelineStats), ExecError> {
+    let (sorted, mut stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
     let n = sorted.len();
     let parts = pool.threads().min(n.max(1));
-    let bounds: Vec<usize> = (0..=parts).map(|w| w * n / parts).collect();
+    let ranges: Vec<usize> = (0..=parts).map(|w| w * n / parts).collect();
 
     // Range-parallel OG core: every worker aggregates the runs inside its
     // contiguous range of the sorted pairs.
     let segments: Vec<(Vec<u32>, Vec<A::State>)> = pool.map_tasks(parts, |w| {
         let mut seg_keys: Vec<u32> = Vec::new();
         let mut seg_states: Vec<A::State> = Vec::new();
-        for &(k, row) in &sorted[bounds[w]..bounds[w + 1]] {
+        for &(k, row) in &sorted[ranges[w]..ranges[w + 1]] {
             if seg_keys.last() != Some(&k) {
                 seg_keys.push(k);
                 seg_states.push(A::State::default());
@@ -322,42 +272,19 @@ fn sog_finish<A: Aggregator>(
 /// cut into contiguous partitions **aligned to key boundaries** (no key
 /// run is ever split), each worker binary-searches the right view for its
 /// partition's key range and runs the serial merge kernel, and chunks
-/// concatenate in partition order. Output pairs equal serial
-/// [`dqo_exec::join::soj::sort_merge_join`] bit for bit at every DOP.
+/// concatenate in partition order. The **left (build) side** forms its
+/// sort runs from the segment `left_bounds` (see [`parallel_sort_index`]).
+/// Output pairs equal serial [`dqo_exec::join::soj::sort_merge_join`] bit
+/// for bit at every DOP.
 pub fn parallel_sort_merge_join(
-    pool: &ThreadPool,
-    left: &[u32],
-    right: &[u32],
-    molecule: RunSortMolecule,
-) -> Result<(JoinResult, PipelineStats), ExecError> {
-    let (ls, stats) = parallel_sort_index(pool, left, molecule)?;
-    soj_finish(pool, ls, right, molecule, stats)
-}
-
-/// Partition-native [`parallel_sort_merge_join`]: the **left (build)
-/// side** is sorted with one run per segment of `left_bounds` (see
-/// [`parallel_sort_index_segmented`]); the right-side sort and the
-/// range-partitioned merge are unchanged. Bit-identical to the plain
-/// variant at every DOP.
-pub fn parallel_sort_merge_join_segmented(
     pool: &ThreadPool,
     left: &[u32],
     right: &[u32],
     molecule: RunSortMolecule,
     left_bounds: &[usize],
 ) -> Result<(JoinResult, PipelineStats), ExecError> {
-    let (ls, stats) = parallel_sort_index_segmented(pool, left, molecule, left_bounds)?;
-    soj_finish(pool, ls, right, molecule, stats)
-}
-
-fn soj_finish(
-    pool: &ThreadPool,
-    ls: Vec<(u32, u32)>,
-    right: &[u32],
-    molecule: RunSortMolecule,
-    mut stats: PipelineStats,
-) -> Result<(JoinResult, PipelineStats), ExecError> {
-    let (rs, right_stats) = parallel_sort_index(pool, right, molecule)?;
+    let (ls, mut stats) = parallel_sort_index(pool, left, molecule, left_bounds)?;
+    let (rs, right_stats) = parallel_sort_index(pool, right, molecule, &[0, right.len()])?;
     stats.merge(&right_stats);
 
     let n = ls.len();
@@ -424,7 +351,8 @@ mod tests {
         for molecule in MOLECULES {
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
-                let (par, stats) = parallel_argsort(&pool, &keys, molecule).unwrap();
+                let (par, stats) =
+                    parallel_argsort(&pool, &keys, molecule, &[0, keys.len()]).unwrap();
                 assert_eq!(par, serial, "threads={threads} {molecule:?}");
                 assert!(stats.breakers >= 1);
             }
@@ -435,7 +363,9 @@ mod tests {
     fn sorted_pairs_are_fully_ordered_and_a_permutation() {
         let keys = dataset(50_000, 1 << 20, 9);
         let pool = ThreadPool::new(4);
-        let (pairs, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison).unwrap();
+        let (pairs, _) =
+            parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[0, keys.len()])
+                .unwrap();
         assert_eq!(pairs.len(), keys.len());
         assert!(pairs.windows(2).all(|w| w[0] < w[1]), "total order");
         let mut rows: Vec<u32> = pairs.iter().map(|p| p.1).collect();
@@ -444,54 +374,14 @@ mod tests {
     }
 
     #[test]
-    fn segmented_runs_are_bit_identical_to_plain() {
-        let keys = dataset(60_000, 37, 5);
-        let serial = argsort(&keys);
-        let pool = ThreadPool::new(8);
-        // Partition-style run bounds: uneven, with an empty segment.
-        let bounds = [0usize, 9_001, 9_001, 17_432, 60_000];
-        for molecule in MOLECULES {
-            let (par, _) = parallel_argsort_segmented(&pool, &keys, molecule, &bounds).unwrap();
-            assert_eq!(par, serial, "{molecule:?}");
-        }
-        // Degenerate bounds fall back to the even split.
-        let (par, _) =
-            parallel_argsort_segmented(&pool, &keys, RunSortMolecule::Comparison, &[3, 7]).unwrap();
-        assert_eq!(par, serial);
-
-        let vals = dataset(60_000, 900, 8);
-        let serial_sog = sort_order_grouping(&keys, &vals, CountSum);
-        let (sog, _) = parallel_sog_segmented(
-            &pool,
-            &keys,
-            &vals,
-            CountSum,
-            RunSortMolecule::Comparison,
-            &bounds,
-        )
-        .unwrap();
-        assert_eq!(sog, serial_sog);
-
-        let right = dataset(10_000, 40, 2);
-        let serial_soj = sort_merge_join(&keys, &right);
-        let (soj, _) = parallel_sort_merge_join_segmented(
-            &pool,
-            &keys,
-            &right,
-            RunSortMolecule::Comparison,
-            &bounds,
-        )
-        .unwrap();
-        assert_eq!(soj.left_rows, serial_soj.left_rows);
-        assert_eq!(soj.right_rows, serial_soj.right_rows);
-    }
-
-    #[test]
     fn molecules_agree() {
         let keys = dataset(30_000, 1000, 1);
         let pool = ThreadPool::new(8);
-        let (a, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison).unwrap();
-        let (b, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Radix).unwrap();
+        let (a, _) =
+            parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[0, keys.len()])
+                .unwrap();
+        let (b, _) =
+            parallel_sort_index(&pool, &keys, RunSortMolecule::Radix, &[0, keys.len()]).unwrap();
         assert_eq!(a, b);
     }
 
@@ -503,7 +393,9 @@ mod tests {
         for molecule in MOLECULES {
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
-                let (par, stats) = parallel_sog(&pool, &keys, &vals, CountSum, molecule).unwrap();
+                let (par, stats) =
+                    parallel_sog(&pool, &keys, &vals, CountSum, molecule, &[0, keys.len()])
+                        .unwrap();
                 assert_eq!(par, serial, "threads={threads} {molecule:?}");
                 assert!(par.sorted_by_key);
                 assert!(stats.breakers >= 2, "sort + group breakers");
@@ -518,8 +410,15 @@ mod tests {
         let keys = vec![7u32; 50_000];
         let vals: Vec<u32> = (0..50_000).map(|i| (i % 100) as u32).collect();
         let pool = ThreadPool::new(8);
-        let (r, _) =
-            parallel_sog(&pool, &keys, &vals, CountSum, RunSortMolecule::Comparison).unwrap();
+        let (r, _) = parallel_sog(
+            &pool,
+            &keys,
+            &vals,
+            CountSum,
+            RunSortMolecule::Comparison,
+            &[0, keys.len()],
+        )
+        .unwrap();
         assert_eq!(r.keys, vec![7]);
         assert_eq!(r.states[0].count, 50_000);
         assert_eq!(
@@ -536,7 +435,9 @@ mod tests {
         for molecule in MOLECULES {
             for threads in [1, 2, 8] {
                 let pool = ThreadPool::new(threads);
-                let (par, _) = parallel_sort_merge_join(&pool, &left, &right, molecule).unwrap();
+                let (par, _) =
+                    parallel_sort_merge_join(&pool, &left, &right, molecule, &[0, left.len()])
+                        .unwrap();
                 // Bit-identical: same pairs in the same emission order.
                 assert_eq!(par.left_rows, serial.left_rows, "threads={threads}");
                 assert_eq!(par.right_rows, serial.right_rows, "threads={threads}");
@@ -553,8 +454,14 @@ mod tests {
         let right: Vec<u32> = (0..4_000).map(|i| (i % 8) as u32).collect();
         let serial = sort_merge_join(&left, &right);
         let pool = ThreadPool::new(8);
-        let (par, _) =
-            parallel_sort_merge_join(&pool, &left, &right, RunSortMolecule::Comparison).unwrap();
+        let (par, _) = parallel_sort_merge_join(
+            &pool,
+            &left,
+            &right,
+            RunSortMolecule::Comparison,
+            &[0, left.len()],
+        )
+        .unwrap();
         assert_eq!(par.left_rows, serial.left_rows);
         assert_eq!(par.right_rows, serial.right_rows);
     }
@@ -562,18 +469,22 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         let pool = ThreadPool::new(4);
-        let (pairs, _) = parallel_sort_index(&pool, &[], RunSortMolecule::Comparison).unwrap();
+        let (pairs, _) =
+            parallel_sort_index(&pool, &[], RunSortMolecule::Comparison, &[0, 0]).unwrap();
         assert!(pairs.is_empty());
-        let (r, _) = parallel_sog(&pool, &[], &[], CountSum, RunSortMolecule::Radix).unwrap();
+        let (r, _) =
+            parallel_sog(&pool, &[], &[], CountSum, RunSortMolecule::Radix, &[0, 0]).unwrap();
         assert!(r.is_empty());
         assert!(r.sorted_by_key);
         let (j, _) =
-            parallel_sort_merge_join(&pool, &[], &[1, 2], RunSortMolecule::Comparison).unwrap();
+            parallel_sort_merge_join(&pool, &[], &[1, 2], RunSortMolecule::Comparison, &[0, 0])
+                .unwrap();
         assert!(j.is_empty());
         let (j, _) =
-            parallel_sort_merge_join(&pool, &[1], &[1], RunSortMolecule::Comparison).unwrap();
+            parallel_sort_merge_join(&pool, &[1], &[1], RunSortMolecule::Comparison, &[0, 1])
+                .unwrap();
         assert_eq!(j.len(), 1);
-        let (one, _) = parallel_sort_index(&pool, &[42], RunSortMolecule::Radix).unwrap();
+        let (one, _) = parallel_sort_index(&pool, &[42], RunSortMolecule::Radix, &[0, 1]).unwrap();
         assert_eq!(one, vec![(42, 0)]);
     }
 
@@ -581,7 +492,14 @@ mod tests {
     fn length_mismatch_is_an_error() {
         let pool = ThreadPool::new(2);
         assert!(matches!(
-            parallel_sog(&pool, &[1, 2], &[1], CountSum, RunSortMolecule::Comparison),
+            parallel_sog(
+                &pool,
+                &[1, 2],
+                &[1],
+                CountSum,
+                RunSortMolecule::Comparison,
+                &[0, 2]
+            ),
             Err(ExecError::LengthMismatch { .. })
         ));
     }
@@ -590,10 +508,13 @@ mod tests {
     fn repeated_runs_are_identical() {
         let keys = dataset(120_000, 64, 77);
         let pool = ThreadPool::new(8);
-        let (first, _) = parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison).unwrap();
+        let (first, _) =
+            parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[0, keys.len()])
+                .unwrap();
         for _ in 0..3 {
             let (again, _) =
-                parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison).unwrap();
+                parallel_sort_index(&pool, &keys, RunSortMolecule::Comparison, &[0, keys.len()])
+                    .unwrap();
             assert_eq!(again, first);
         }
     }

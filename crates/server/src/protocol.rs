@@ -98,6 +98,9 @@ pub enum ErrorCode {
     ParamMismatch = 5,
     /// The client asked for protocol version 0.
     UnsupportedVersion = 6,
+    /// The reply would not fit in one frame (its body exceeds
+    /// [`MAX_FRAME`]); the statement ran, but its result cannot be sent.
+    Resource = 7,
 }
 
 impl ErrorCode {
@@ -115,6 +118,7 @@ impl ErrorCode {
             4 => ErrorCode::UnknownStatement,
             5 => ErrorCode::ParamMismatch,
             6 => ErrorCode::UnsupportedVersion,
+            7 => ErrorCode::Resource,
             _ => return None,
         })
     }
@@ -162,6 +166,7 @@ pub fn wire_constants() -> Vec<(&'static str, u64)> {
             "ERR_UNSUPPORTED_VERSION",
             u64::from(ErrorCode::UnsupportedVersion.code()),
         ),
+        ("ERR_RESOURCE", u64::from(ErrorCode::Resource.code())),
     ]
 }
 
@@ -195,6 +200,18 @@ pub enum ProtocolError {
     BadErrorCode(u16),
     /// A parameter [`Value`] variant the wire cannot carry.
     UnsupportedParam(&'static str),
+    /// An encoded frame body would exceed [`MAX_FRAME`] bytes.
+    FrameTooLarge(u64),
+    /// A result-set column whose value count differs from the declared
+    /// row count.
+    ColumnLength {
+        /// The column's name.
+        column: String,
+        /// Values the column holds.
+        len: u64,
+        /// The result set's declared row count.
+        rows: u64,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -215,6 +232,15 @@ impl fmt::Display for ProtocolError {
             ProtocolError::BadErrorCode(code) => write!(f, "unknown error code {code}"),
             ProtocolError::UnsupportedParam(what) => {
                 write!(f, "parameter type {what} cannot be sent on the wire")
+            }
+            ProtocolError::FrameTooLarge(len) => {
+                write!(
+                    f,
+                    "frame body of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
+                )
+            }
+            ProtocolError::ColumnLength { column, len, rows } => {
+                write!(f, "column '{column}' holds {len} values for {rows} rows")
             }
         }
     }
@@ -477,13 +503,19 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Wrap a frame body in the length prefix.
-fn finish_frame(body: Vec<u8>) -> Vec<u8> {
-    debug_assert!(!body.is_empty() && body.len() as u64 <= u64::from(MAX_FRAME));
+/// Wrap a frame body in the length prefix. A body above [`MAX_FRAME`]
+/// is refused here, in every build, so the `u32` prefix can never
+/// truncate and no peer is ever sent a frame it must reject. Every
+/// encoder pushes an opcode first, so a body is never empty.
+fn finish_frame(body: Vec<u8>) -> Result<Vec<u8>, ProtocolError> {
+    let len = u32::try_from(body.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or(ProtocolError::FrameTooLarge(body.len() as u64))?;
     let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&len.to_le_bytes());
     frame.extend_from_slice(&body);
-    frame
+    Ok(frame)
 }
 
 // ---------------------------------------------------------------------------
@@ -522,7 +554,7 @@ pub fn encode_client_frame(frame: &ClientFrame) -> Result<Vec<u8>, ProtocolError
             put_params(&mut body, params)?;
         }
     }
-    Ok(finish_frame(body))
+    finish_frame(body)
 }
 
 /// Encode a tagged parameter list: `[n: u16]` then `n` tagged values
@@ -601,8 +633,38 @@ pub fn decode_client_frame(body: &[u8]) -> Result<ClientFrame, ProtocolError> {
 // Server-frame codec
 // ---------------------------------------------------------------------------
 
-/// Encode a server frame, length prefix included.
+/// Encode a server frame, length prefix included, for a frame known to
+/// be well formed and to fit: [`try_encode_server_frame`] with its error
+/// turned into a panic.
+///
+/// # Panics
+///
+/// When [`try_encode_server_frame`] fails. The server encodes through
+/// the checked form and answers such a reply with an
+/// [`ErrorCode::Resource`] frame instead.
 pub fn encode_server_frame(frame: &ServerFrame) -> Vec<u8> {
+    try_encode_server_frame(frame).expect("server frame must fit one wire frame")
+}
+
+/// Encode a server frame, length prefix included. Fails with
+/// [`ProtocolError::ColumnLength`] when a result-set column does not
+/// hold exactly the declared row count, and with
+/// [`ProtocolError::FrameTooLarge`] when the body would exceed
+/// [`MAX_FRAME`].
+pub fn try_encode_server_frame(frame: &ServerFrame) -> Result<Vec<u8>, ProtocolError> {
+    if let ServerFrame::ResultSet(result) = frame {
+        if let Some(col) = result
+            .columns
+            .iter()
+            .find(|c| c.data.len() as u64 != result.rows)
+        {
+            return Err(ProtocolError::ColumnLength {
+                column: col.name.clone(),
+                len: col.data.len() as u64,
+                rows: result.rows,
+            });
+        }
+    }
     let mut body = Vec::new();
     match frame {
         ServerFrame::Welcome { version, server } => {
@@ -619,7 +681,6 @@ pub fn encode_server_frame(frame: &ServerFrame) -> Vec<u8> {
             }
             body.extend_from_slice(&result.rows.to_le_bytes());
             for col in &result.columns {
-                debug_assert_eq!(col.data.len() as u64, result.rows);
                 match &col.data {
                     WireData::U32(v) => {
                         for x in v {
@@ -1046,6 +1107,50 @@ mod tests {
             }),
             Err(ProtocolError::UnsupportedParam("f64"))
         ));
+    }
+
+    #[test]
+    fn oversized_and_malformed_results_are_typed_errors() {
+        // One u32 column named "key": a 19-byte header, then 4 bytes per
+        // row. The largest result that fits ends exactly one byte below
+        // MAX_FRAME; one more row puts the body just over 16 MiB.
+        let result = |rows: usize| {
+            ServerFrame::ResultSet(WireResult {
+                columns: vec![WireColumn {
+                    name: "key".into(),
+                    data: WireData::U32(vec![7; rows]),
+                }],
+                rows: rows as u64,
+            })
+        };
+        let fits = (MAX_FRAME as usize - 19) / 4;
+        let bytes = try_encode_server_frame(&result(fits)).unwrap();
+        assert_eq!(bytes.len() - 4, MAX_FRAME as usize - 1);
+        assert_eq!(&bytes[..4], &(MAX_FRAME - 1).to_le_bytes());
+        assert_eq!(
+            try_encode_server_frame(&result(fits + 1)),
+            Err(ProtocolError::FrameTooLarge(u64::from(MAX_FRAME) + 3))
+        );
+        // A column disagreeing with the row count is refused up front.
+        let ServerFrame::ResultSet(mut short) = result(3) else {
+            unreachable!()
+        };
+        short.rows = 4;
+        assert_eq!(
+            try_encode_server_frame(&ServerFrame::ResultSet(short)),
+            Err(ProtocolError::ColumnLength {
+                column: "key".into(),
+                len: 3,
+                rows: 4
+            })
+        );
+        // Client frames share the bound.
+        let sql = "x".repeat(MAX_FRAME as usize);
+        assert!(matches!(
+            encode_client_frame(&ClientFrame::Query { sql }),
+            Err(ProtocolError::FrameTooLarge(_))
+        ));
+        assert_eq!(ErrorCode::from_code(7), Some(ErrorCode::Resource));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! thread exits. Other connections and the pool are unaffected.
 
 use crate::protocol::{
-    decode_client_frame, encode_server_frame, ClientFrame, ErrorCode, ServerFrame, WireResult,
-    CLOSE_SESSION, MAX_FRAME, PROTOCOL_VERSION,
+    decode_client_frame, encode_server_frame, try_encode_server_frame, ClientFrame, ErrorCode,
+    ServerFrame, WireResult, CLOSE_SESSION, MAX_FRAME, PROTOCOL_VERSION,
 };
 use dqo_core::{Engine, PreparedPlan};
 use dqo_obs::{names, Counter, Gauge, MetricsRegistry};
@@ -396,8 +396,16 @@ impl Connection {
         }
     }
 
+    /// Send one frame. A reply that cannot be encoded (a result above
+    /// `MAX_FRAME`) is answered with an `ERR_RESOURCE` frame instead, and
+    /// the session stays usable.
     fn send(&mut self, frame: &ServerFrame) -> io::Result<()> {
-        let bytes = encode_server_frame(frame);
+        let bytes = try_encode_server_frame(frame).unwrap_or_else(|e| {
+            encode_server_frame(&ServerFrame::Error {
+                code: ErrorCode::Resource,
+                message: e.to_string(),
+            })
+        });
         self.stream.write_all(&bytes)?;
         self.stream.flush()
     }

@@ -275,6 +275,26 @@ fn error_codes_are_typed_and_sessions_survive_them() {
 }
 
 #[test]
+fn oversized_results_draw_err_resource_and_the_session_survives() {
+    // 4.2M u32 keys encode to a RESULT_SET body just over MAX_FRAME.
+    let (_engine, handle, _) = serve(4_200_000, 8);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    match client.query("SELECT key FROM t") {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Resource, "{message}");
+            assert!(message.contains("MAX_FRAME"), "{message}");
+        }
+        other => panic!("expected a resource error, got {other:?}"),
+    }
+    let ok = client
+        .query("SELECT key, COUNT(*) AS n FROM t GROUP BY key")
+        .expect("still usable");
+    assert_eq!(ok.rows, 8);
+    client.close().expect("clean close");
+    handle.shutdown();
+}
+
+#[test]
 fn handshake_violations_are_rejected() {
     let (_engine, handle, registry) = serve(100, 4);
 

@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --release --example dqo_vs_sqo`
 
-use dqo::core::optimizer::{optimize, OptimizerMode};
-use dqo::core::{execute, Catalog};
+use dqo::core::optimizer::{optimize, OptimizeRequest, OptimizerMode};
+use dqo::core::{execute, Catalog, ExecContext};
 use dqo::storage::datagen::ForeignKeySpec;
 use std::time::Instant;
 
@@ -32,8 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             catalog.register("R", r);
             catalog.register("S", s);
 
-            let sqo = optimize(&query, &catalog, OptimizerMode::Shallow)?;
-            let dqo = optimize(&query, &catalog, OptimizerMode::Deep)?;
+            // One optimiser, two property visibilities: SQO and DQO differ
+            // only in the request's mode.
+            let plan = |mode| optimize(&query, &OptimizeRequest::new(&catalog, mode));
+            let sqo = plan(OptimizerMode::Shallow)?;
+            let dqo = plan(OptimizerMode::Deep)?;
             let factor = sqo.est_cost / dqo.est_cost;
             println!(
                 "{:<22} {:>8} {:>24} {:>12.0} {:>24} {:>12.0} {:>7.1}x",
@@ -51,11 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
 
             // Execute both plans and verify they agree (and report time).
+            let ctx = ExecContext::new(&catalog);
             let t0 = Instant::now();
-            let out_sqo = execute(&sqo.plan, &catalog)?;
+            let out_sqo = execute(&sqo.plan, &ctx)?;
             let t_sqo = t0.elapsed();
             let t0 = Instant::now();
-            let out_dqo = execute(&dqo.plan, &catalog)?;
+            let out_dqo = execute(&dqo.plan, &ctx)?;
             let t_dqo = t0.elapsed();
             assert_eq!(
                 dqo::core::executor::sorted_rows(&out_sqo.relation),

@@ -2,6 +2,7 @@
 //! checked against the naive reference evaluator.
 
 use dqo::core::executor::{naive_eval, sorted_rows};
+use dqo::core::OptimizeRequest;
 use dqo::storage::datagen::{DatasetSpec, ForeignKeySpec};
 use dqo::{Dqo, OptimizerMode};
 
@@ -140,15 +141,12 @@ fn deep_never_costs_more_than_shallow_across_many_configs() {
                 let q = db
                     .compile("SELECT a, COUNT(*) FROM r JOIN s ON r.id = s.r_id GROUP BY a")
                     .unwrap();
-                let deep =
-                    dqo::core::optimizer::optimize(&q, db.engine().catalog(), OptimizerMode::Deep)
-                        .unwrap();
-                let shallow = dqo::core::optimizer::optimize(
-                    &q,
-                    db.engine().catalog(),
-                    OptimizerMode::Shallow,
-                )
-                .unwrap();
+                let plan = |mode| {
+                    let req = OptimizeRequest::new(db.engine().catalog(), mode);
+                    dqo::core::optimizer::optimize(&q, &req).unwrap()
+                };
+                let deep = plan(OptimizerMode::Deep);
+                let shallow = plan(OptimizerMode::Shallow);
                 assert!(
                     deep.est_cost <= shallow.est_cost + 1e-9,
                     "DQO must never be worse (seed={seed}, dense={dense})"

@@ -8,7 +8,7 @@
 //! | R unsorted, S sorted | 1x | 2.8x |
 //! | R unsorted, S unsorted | 1x | 4x |
 
-use dqo::core::optimizer::{optimize, OptimizerMode};
+use dqo::core::optimizer::{optimize, OptimizeRequest, OptimizerMode};
 use dqo::core::Catalog;
 use dqo::storage::datagen::ForeignKeySpec;
 
@@ -29,8 +29,8 @@ fn factor(
     catalog.register("R", r);
     catalog.register("S", s);
     let q = dqo::plan::logical::example_query_4_3();
-    let sqo = optimize(&q, &catalog, OptimizerMode::Shallow).unwrap();
-    let dqo = optimize(&q, &catalog, OptimizerMode::Deep).unwrap();
+    let sqo = optimize(&q, &OptimizeRequest::new(&catalog, OptimizerMode::Shallow)).unwrap();
+    let dqo = optimize(&q, &OptimizeRequest::new(&catalog, OptimizerMode::Deep)).unwrap();
     (
         sqo.est_cost / dqo.est_cost,
         sqo.plan.algo_signature(),
@@ -99,8 +99,8 @@ fn factors_are_scale_invariant_for_the_4x_cells() {
         catalog.register("R", r);
         catalog.register("S", s);
         let q = dqo::plan::logical::example_query_4_3();
-        let sqo = optimize(&q, &catalog, OptimizerMode::Shallow).unwrap();
-        let dqo = optimize(&q, &catalog, OptimizerMode::Deep).unwrap();
+        let sqo = optimize(&q, &OptimizeRequest::new(&catalog, OptimizerMode::Shallow)).unwrap();
+        let dqo = optimize(&q, &OptimizeRequest::new(&catalog, OptimizerMode::Deep)).unwrap();
         let f = sqo.est_cost / dqo.est_cost;
         assert!((f - 4.0).abs() < 0.01, "|R|={r_rows}: got {f}");
     }

@@ -7,6 +7,7 @@
 use dqo::core::av::{materialise_av, materialise_av_on, AvArtifact, AvKind, AvSignature};
 use dqo::core::avsp::{self, Solver, WorkloadQuery};
 use dqo::core::executor::sorted_rows;
+use dqo::core::ExecContext;
 use dqo::exec::aggregate::CountSum;
 use dqo::exec::grouping::sog::sort_order_grouping;
 use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
@@ -22,6 +23,19 @@ use dqo::storage::Value;
 use dqo::{Dqo, OptimizerMode};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// The segment-bounds axis every kernel case runs over: the whole input,
+/// an uneven 3-way split, bounds with empty segments, and 1-row
+/// segments. Kernels seed morsels or sort runs from the segments, and
+/// the output must not depend on them.
+fn bounds_axis(n: usize) -> [Vec<usize>; 4] {
+    [
+        vec![0, n],
+        vec![0, n / 7, n / 2 + 3, n],
+        vec![0, 0, n / 3, n / 3, n, n],
+        vec![0, 1, 2, 3, n],
+    ]
+}
 
 fn db_with_table(rows: usize, groups: usize, seed: u64, threads: usize) -> Dqo {
     let mut db = Dqo::new();
@@ -83,17 +97,21 @@ fn grouping_matches_serial_under_skew() {
             r.sort_by_key();
             r
         };
-        for threads in THREAD_COUNTS {
+        for (threads, bounds) in THREAD_COUNTS
+            .into_iter()
+            .flat_map(|t| bounds_axis(keys.len()).map(|b| (t, b)))
+        {
             let pool = ThreadPool::new(threads);
             for strategy in [
                 GroupingStrategy::Hash,
                 GroupingStrategy::StaticPerfectHash { min: 0, max: 127 },
             ] {
                 let (par, _) =
-                    parallel_grouping(&pool, &keys, &keys, CountSum, strategy, 4096).unwrap();
+                    parallel_grouping(&pool, &keys, &keys, CountSum, strategy, &bounds, 4096)
+                        .unwrap();
                 assert_eq!(
                     par, reference,
-                    "threads={threads} exponent={exponent} {strategy:?}"
+                    "threads={threads} exponent={exponent} {strategy:?} bounds={bounds:?}"
                 );
             }
         }
@@ -140,14 +158,16 @@ fn join_kernels_match_serial_under_skew() {
             &JoinHints::default(),
         )
         .unwrap();
-        for threads in THREAD_COUNTS {
+        for (threads, bounds) in THREAD_COUNTS
+            .into_iter()
+            .flat_map(|t| bounds_axis(left.len()).map(|b| (t, b)))
+        {
             let pool = ThreadPool::new(threads);
-            let (par, _) = parallel_hash_join(&pool, &left, &right, 4096).unwrap();
-            assert_eq!(
-                par.normalised_pairs(),
-                serial.normalised_pairs(),
-                "threads={threads} exponent={exponent}"
-            );
+            let (par, _) = parallel_hash_join(&pool, &left, &right, &bounds, 4096).unwrap();
+            // Bit-identical emission order, not just the same pair set.
+            let ctx = format!("threads={threads} exponent={exponent} bounds={bounds:?}");
+            assert_eq!(par.left_rows, serial.left_rows, "{ctx}");
+            assert_eq!(par.right_rows, serial.right_rows, "{ctx}");
         }
     }
 }
@@ -170,13 +190,17 @@ fn parallel_sort_bit_identical_to_stable_argsort() {
                 zipf_keys(120_000, 200, exponent, seed)
             };
             let reference = argsort(&keys);
-            for threads in THREAD_COUNTS {
+            for (threads, bounds) in THREAD_COUNTS
+                .into_iter()
+                .flat_map(|t| bounds_axis(keys.len()).map(|b| (t, b)))
+            {
                 for molecule in [RunSortMolecule::Comparison, RunSortMolecule::Radix] {
                     let pool = ThreadPool::new(threads);
-                    let (par, _) = parallel_argsort(&pool, &keys, molecule).unwrap();
+                    let (par, _) = parallel_argsort(&pool, &keys, molecule, &bounds).unwrap();
                     assert_eq!(
                         par, reference,
-                        "seed={seed} exponent={exponent} threads={threads} {molecule:?}"
+                        "seed={seed} exponent={exponent} threads={threads} {molecule:?} \
+                         bounds={bounds:?}"
                     );
                 }
             }
@@ -191,16 +215,19 @@ fn sog_bit_identical_across_dop_seeds_and_skew() {
             let keys = zipf_keys(150_000, 300, exponent, seed);
             let vals = zipf_keys(150_000, 1_000, 0.9, seed + 1);
             let serial = sort_order_grouping(&keys, &vals, CountSum);
-            for threads in THREAD_COUNTS {
+            for (threads, bounds) in THREAD_COUNTS
+                .into_iter()
+                .flat_map(|t| bounds_axis(keys.len()).map(|b| (t, b)))
+            {
                 let pool = ThreadPool::new(threads);
+                let molecule = RunSortMolecule::Comparison;
                 let (par, _) =
-                    parallel_sog(&pool, &keys, &vals, CountSum, RunSortMolecule::Comparison)
-                        .unwrap();
+                    parallel_sog(&pool, &keys, &vals, CountSum, molecule, &bounds).unwrap();
                 // Full structural equality, not sorted-set equality: keys,
                 // states and the sortedness property all match.
                 assert_eq!(
                     par, serial,
-                    "seed={seed} exponent={exponent} threads={threads}"
+                    "seed={seed} exponent={exponent} threads={threads} bounds={bounds:?}"
                 );
             }
         }
@@ -214,15 +241,18 @@ fn soj_bit_identical_across_dop_seeds_and_skew() {
             let left: Vec<u32> = zipf_keys(30_000, 800, 0.8, seed);
             let right = zipf_keys(90_000, 1_000, exponent, seed + 5);
             let serial = sort_merge_join(&left, &right);
-            for threads in THREAD_COUNTS {
+            for (threads, bounds) in THREAD_COUNTS
+                .into_iter()
+                .flat_map(|t| bounds_axis(left.len()).map(|b| (t, b)))
+            {
                 let pool = ThreadPool::new(threads);
+                let molecule = RunSortMolecule::Comparison;
                 let (par, _) =
-                    parallel_sort_merge_join(&pool, &left, &right, RunSortMolecule::Comparison)
-                        .unwrap();
+                    parallel_sort_merge_join(&pool, &left, &right, molecule, &bounds).unwrap();
                 // Bit-identical emission order, not just the same pair set.
                 assert_eq!(
                     par.left_rows, serial.left_rows,
-                    "seed={seed} exponent={exponent} threads={threads}"
+                    "seed={seed} exponent={exponent} threads={threads} bounds={bounds:?}"
                 );
                 assert_eq!(par.right_rows, serial.right_rows);
                 assert!(par.sorted_by_key);
@@ -269,13 +299,13 @@ fn sort_based_exchange_plans_match_serial_execution() {
         molecules: GroupingMolecules::defaults_for(GroupingImpl::Sog),
     };
     for plan in [soj, sog] {
-        let serial = dqo::core::executor::execute(&plan, &cat).unwrap();
+        let serial = dqo::core::executor::execute(&plan, &ExecContext::new(&cat)).unwrap();
         for dop in [2, 8] {
             let wrapped = PhysicalPlan::Exchange {
                 input: Box::new(plan.clone()),
                 dop,
             };
-            let par = dqo::core::executor::execute(&wrapped, &cat).unwrap();
+            let par = dqo::core::executor::execute(&wrapped, &ExecContext::new(&cat)).unwrap();
             // Row-for-row identical (both emit in ascending key order).
             assert_eq!(par.relation.rows(), serial.relation.rows());
             for col in 0..serial.relation.schema().width() {
@@ -614,13 +644,14 @@ fn multi_column_grouping_kernels_bit_identical_across_dop() {
         molecules: GroupingMolecules::defaults_for(algo),
     };
     for algo in [GroupingImpl::Hg, GroupingImpl::Sphg, GroupingImpl::Sog] {
-        let serial = dqo::core::executor::execute(&group_by(algo), &cat).unwrap();
+        let serial =
+            dqo::core::executor::execute(&group_by(algo), &ExecContext::new(&cat)).unwrap();
         for dop in THREAD_COUNTS {
             let wrapped = PhysicalPlan::Exchange {
                 input: Box::new(group_by(algo)),
                 dop,
             };
-            let par = dqo::core::executor::execute(&wrapped, &cat).unwrap();
+            let par = dqo::core::executor::execute(&wrapped, &ExecContext::new(&cat)).unwrap();
             assert_relations_identical(
                 &par.relation,
                 &serial.relation,

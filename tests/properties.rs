@@ -3,12 +3,21 @@
 //! robustness.
 
 use dqo::core::executor::{naive_eval, sorted_rows};
-use dqo::core::optimizer::{optimize_strict, OptimizerMode};
-use dqo::core::{execute, Catalog};
+use dqo::core::optimizer::{optimize, OptimizeRequest, OptimizerMode, PropertyModel};
+use dqo::core::{execute, Catalog, ExecContext};
 use dqo::plan::expr::AggExpr;
 use dqo::plan::LogicalPlan;
 use dqo::storage::Relation;
 use proptest::prelude::*;
+
+/// The sound attribute-strict optimiser configuration these properties
+/// run under (arbitrary data is not clustered like the paper's).
+fn strict(catalog: &Catalog, mode: OptimizerMode) -> OptimizeRequest<'_> {
+    OptimizeRequest {
+        pmodel: PropertyModel::AttributeStrict,
+        ..OptimizeRequest::new(catalog, mode)
+    }
+}
 
 /// Build a two-column relation r(id, a) and one-column fk side s(r_id)
 /// from arbitrary data, with ids deduplicated to keep the PK property.
@@ -54,8 +63,8 @@ proptest! {
         );
         let naive = naive_eval(&q, &catalog).unwrap();
         for mode in [OptimizerMode::Shallow, OptimizerMode::Deep] {
-            let planned = optimize_strict(&q, &catalog, mode).unwrap();
-            let out = execute(&planned.plan, &catalog).unwrap();
+            let planned = optimize(&q, &strict(&catalog, mode)).unwrap();
+            let out = execute(&planned.plan, &ExecContext::new(&catalog)).unwrap();
             prop_assert_eq!(sorted_rows(&out.relation), sorted_rows(&naive));
         }
     }
@@ -77,8 +86,8 @@ proptest! {
         );
         let naive = naive_eval(&q, &catalog).unwrap();
         for mode in [OptimizerMode::Shallow, OptimizerMode::Deep] {
-            let planned = optimize_strict(&q, &catalog, mode).unwrap();
-            let out = execute(&planned.plan, &catalog).unwrap();
+            let planned = optimize(&q, &strict(&catalog, mode)).unwrap();
+            let out = execute(&planned.plan, &ExecContext::new(&catalog)).unwrap();
             prop_assert_eq!(
                 sorted_rows(&out.relation),
                 sorted_rows(&naive),
@@ -96,8 +105,8 @@ proptest! {
         let q = LogicalPlan::group_by(
             LogicalPlan::scan("t"), "key", vec![AggExpr::count_star("n")],
         );
-        let deep = optimize_strict(&q, &catalog, OptimizerMode::Deep).unwrap();
-        let shallow = optimize_strict(&q, &catalog, OptimizerMode::Shallow).unwrap();
+        let deep = optimize(&q, &strict(&catalog, OptimizerMode::Deep)).unwrap();
+        let shallow = optimize(&q, &strict(&catalog, OptimizerMode::Shallow)).unwrap();
         prop_assert!(deep.est_cost <= shallow.est_cost + 1e-9);
     }
 

@@ -17,7 +17,7 @@
 
 use dqo::core::av::{AvKind, AvSignature};
 use dqo::core::avsp::{Solver, WorkloadQuery};
-use dqo::core::executor::{execute, naive_eval, sorted_rows};
+use dqo::core::executor::{execute, naive_eval, sorted_rows, ExecContext};
 use dqo::plan::PhysicalPlan;
 use dqo::storage::{
     Column, DataType, Dictionary, Field, PartitionSpec, PartitionedRelation, Relation, Schema,
@@ -244,7 +244,7 @@ fn check_differential(rel: Relation, sql: &str) -> std::result::Result<(), Strin
         .map_err(|e| format!("plan {sql}: {e}"))?;
     for dop in [2usize, 8] {
         let wrapped = parallelise(&planned.plan, dop);
-        let out = execute(&wrapped, reference_db.engine().catalog())
+        let out = execute(&wrapped, &ExecContext::new(reference_db.engine().catalog()))
             .map_err(|e| format!("forced dop={dop} {sql}: {e}"))?;
         if sorted_rows(&out.relation) != expect {
             return Err(format!(
