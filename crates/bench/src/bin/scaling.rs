@@ -1,5 +1,7 @@
 //! Parallel scaling harness: morsel-driven HJ and SPHG speedup over the
-//! serial kernels at thread counts 1/2/4/8.
+//! serial kernels at thread counts 1/2/4/8, plus the FILTER and GATHER
+//! materialisation rows at DOP 2. Exits non-zero if a checked parallel
+//! result differs from the serial one.
 //!
 //! ```text
 //! cargo run -p dqo-bench --release --bin scaling                  # 1M rows
@@ -27,7 +29,7 @@ fn main() {
     );
     let points = run(rows, groups, &threads, reps);
 
-    let mut table = Table::new(&["workload", "threads", "ms", "speedup"]);
+    let mut table = Table::new(&["workload", "threads", "ms", "speedup", "oracle"]);
     for p in &points {
         table.row(vec![
             p.workload.to_string(),
@@ -38,6 +40,12 @@ fn main() {
             },
             format!("{:.2}", p.millis),
             format!("{:.2}", p.speedup),
+            match p.matches_serial {
+                Some(true) => "ok",
+                Some(false) => "MISMATCH",
+                None => "-",
+            }
+            .to_string(),
         ]);
     }
     if args.flag("--json") {
@@ -46,5 +54,10 @@ fn main() {
         print!("{}", table.to_csv());
     } else {
         print!("{}", table.to_text());
+    }
+
+    if points.iter().any(|p| p.matches_serial == Some(false)) {
+        eprintln!("FAIL: a parallel result diverged from the serial one");
+        std::process::exit(1);
     }
 }

@@ -1,17 +1,23 @@
 //! Parallel scaling study: morsel-driven HJ and SPHG versus the serial
 //! kernels, across thread counts — the measurement the `scaling` binary
-//! and criterion bench share, so future PRs can track the trajectory.
+//! and criterion bench share, so future changes can track the trajectory.
+//! The FILTER and GATHER rows time the row-materialisation path (mask →
+//! selection → gather) serially and at DOP 2, and check every parallel
+//! result against the serial one.
 
 use dqo_exec::aggregate::CountSum;
 use dqo_exec::composite::KeyPacker;
 use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo_exec::join::hj::hash_join;
+use dqo_exec::sort::argsort;
+use dqo_exec::ExecError;
 use dqo_parallel::{
-    parallel_grouping, parallel_hash_join, GroupingStrategy, PersistentPool, ThreadPool,
-    DEFAULT_MORSEL_ROWS,
+    parallel_filter, parallel_gather, parallel_grouping, parallel_hash_join, GroupingStrategy,
+    PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
 use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
-use dqo_storage::{PartitionSpec, PartitionedRelation, Relation};
+use dqo_storage::{Column, DataType, Field, PartitionSpec, PartitionedRelation, Relation, Schema};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured configuration.
@@ -25,6 +31,9 @@ pub struct ScalingPoint {
     pub millis: f64,
     /// Serial kernel time / this configuration's time.
     pub speedup: f64,
+    /// Whether this parallel result equals the serial one, for the
+    /// workloads that check it (FILTER, GATHER); `None` otherwise.
+    pub matches_serial: Option<bool>,
 }
 
 fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> f64 {
@@ -74,6 +83,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
         threads: 0,
         millis: serial_ms,
         speedup: 1.0,
+        matches_serial: None,
     });
     for &t in threads {
         // A dedicated pool sized to this configuration, so the measured
@@ -98,6 +108,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
             threads: t,
             millis: ms,
             speedup: serial_ms / ms,
+            matches_serial: None,
         });
     }
 
@@ -137,6 +148,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
         threads: 0,
         millis: serial_ms,
         speedup: 1.0,
+        matches_serial: None,
     });
     for &t in threads {
         let pool = ThreadPool::with_pool(t, std::sync::Arc::new(PersistentPool::new(t)));
@@ -163,6 +175,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
             threads: t,
             millis: ms,
             speedup: serial_ms / ms,
+            matches_serial: None,
         });
     }
 
@@ -210,6 +223,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
         threads: 0,
         millis: serial_ms,
         speedup: 1.0,
+        matches_serial: None,
     });
     for &t in threads {
         let pool = ThreadPool::with_pool(t, std::sync::Arc::new(PersistentPool::new(t)));
@@ -232,6 +246,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
             threads: t,
             millis: ms,
             speedup: serial_ms / ms,
+            matches_serial: None,
         });
     }
 
@@ -260,6 +275,7 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
         threads: 0,
         millis: serial_ms,
         speedup: 1.0,
+        matches_serial: None,
     });
     for &t in threads {
         let pool = ThreadPool::with_pool(t, std::sync::Arc::new(PersistentPool::new(t)));
@@ -274,10 +290,86 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
             threads: t,
             millis: ms,
             speedup: serial_ms / ms,
+            matches_serial: None,
         });
     }
 
+    materialisation(rows, reps, &mut out);
     out
+}
+
+/// The FILTER and GATHER rows: a 2-column relation filtered at 1%, 62%
+/// and 99% selectivity, and gathered through a random permutation —
+/// serial, then at DOP 2, each parallel result compared with the serial.
+fn materialisation(rows: usize, reps: usize, out: &mut Vec<ScalingPoint>) {
+    const DOP: usize = 2;
+    let pick: Vec<u32> = (0..rows as u64)
+        .map(|i| ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 100) as u32)
+        .collect();
+    let rel = Relation::new(
+        Schema::new(vec![
+            Field::new("pick", DataType::U32),
+            Field::new("payload", DataType::U64),
+        ])
+        .expect("distinct names"),
+        vec![
+            Column::U32(pick.clone()),
+            Column::U64((0..rows as u64).collect()),
+        ],
+    )
+    .expect("equal lengths");
+    let pool = ThreadPool::with_pool(DOP, Arc::new(PersistentPool::new(DOP)));
+    let mut pair = |workload: &'static str, serial_ms: f64, ms: f64, same: bool| {
+        out.push(ScalingPoint {
+            workload,
+            threads: 0,
+            millis: serial_ms,
+            speedup: 1.0,
+            matches_serial: None,
+        });
+        out.push(ScalingPoint {
+            workload,
+            threads: DOP,
+            millis: ms,
+            speedup: serial_ms / ms,
+            matches_serial: Some(same),
+        });
+    };
+
+    for (workload, percent) in [("FILTER-1%", 1), ("FILTER-62%", 62), ("FILTER-99%", 99)] {
+        let mask = |lo: usize, hi: usize| -> Vec<bool> {
+            pick[lo..hi].iter().map(|&p| p < percent).collect()
+        };
+        let serial = || rel.filter(&mask(0, rows)).expect("mask spans the relation");
+        let parallel = || {
+            parallel_filter(&pool, &rel, &[0, rows], DEFAULT_MORSEL_ROWS, |m| {
+                Ok::<_, ExecError>(mask(m.start, m.end))
+            })
+            .expect("parallel filter")
+        };
+        let same = same_relation(&serial(), &parallel());
+        let serial_ms = best_of(reps, || serial().rows() as u64);
+        let ms = best_of(reps, || parallel().rows() as u64);
+        pair(workload, serial_ms, ms, same);
+    }
+
+    // Sorting distinct scrambled keys yields a random permutation.
+    let scrambled: Vec<u32> = (0..rows as u32)
+        .map(|i| i.wrapping_mul(0x9E37_79B9))
+        .collect();
+    let order = argsort(&scrambled);
+    let serial = || rel.gather(&order);
+    let parallel = || parallel_gather(&pool, &rel, &order).expect("parallel gather");
+    let same = same_relation(&serial(), &parallel());
+    let serial_ms = best_of(reps, || serial().rows() as u64);
+    let ms = best_of(reps, || parallel().rows() as u64);
+    pair("GATHER", serial_ms, ms, same);
+}
+
+/// Equal row counts and equal columns, position by position.
+fn same_relation(a: &Relation, b: &Relation) -> bool {
+    a.rows() == b.rows()
+        && (0..a.schema().width()).all(|c| a.column_at(c).ok() == b.column_at(c).ok())
 }
 
 #[cfg(test)]
@@ -288,8 +380,9 @@ mod tests {
     fn produces_points_for_every_configuration() {
         let points = run(20_000, 64, &[1, 2], 1);
         // Per workload (SPHG, SPHG-2COL, PART-SPHG, HJ): serial baseline
-        // + 2 thread counts.
-        assert_eq!(points.len(), 12);
+        // + 2 thread counts; per FILTER selectivity and GATHER: serial
+        // baseline + DOP 2.
+        assert_eq!(points.len(), 12 + 4 * 2);
         assert!(points
             .iter()
             .all(|p| p.millis.is_finite() && p.millis >= 0.0));
@@ -303,5 +396,16 @@ mod tests {
             .iter()
             .any(|p| p.workload == "PART-SPHG" && p.threads == 2));
         assert!(points.iter().any(|p| p.workload == "HJ" && p.threads == 2));
+        for workload in ["FILTER-1%", "FILTER-62%", "FILTER-99%", "GATHER"] {
+            assert!(points
+                .iter()
+                .any(|p| p.workload == workload && p.threads == 0));
+            assert!(
+                points.iter().any(|p| p.workload == workload
+                    && p.threads == 2
+                    && p.matches_serial == Some(true)),
+                "{workload}"
+            );
+        }
     }
 }

@@ -308,8 +308,7 @@ pub fn materialise_av(catalog: &Catalog, sig: &AvSignature) -> Result<Av> {
     let keys = entry.relation.column(&sig.column)?.as_u32()?;
     match sig.kind {
         AvKind::SortedProjection => {
-            let order: Vec<usize> = argsort(keys).into_iter().map(|i| i as usize).collect();
-            let sorted = entry.relation.gather(&order);
+            let sorted = entry.relation.gather(&argsort(keys));
             catalog.register(sig.av_table_name(), sorted.clone());
             av.artifact = Some(AvArtifact::SortedProjection(Arc::new(sorted)));
         }
@@ -350,8 +349,7 @@ pub fn materialise_av_on(catalog: &Catalog, sig: &AvSignature, pool: &ThreadPool
         AvKind::SortedProjection => {
             let (perm, _) =
                 parallel_argsort(pool, keys, RunSortMolecule::Comparison, &[0, keys.len()])?;
-            let order: Vec<usize> = perm.into_iter().map(|i| i as usize).collect();
-            let sorted = parallel_gather(pool, &entry.relation, &order)?;
+            let sorted = parallel_gather(pool, &entry.relation, &perm)?;
             catalog.register(sig.av_table_name(), sorted.clone());
             av.artifact = Some(AvArtifact::SortedProjection(Arc::new(sorted)));
         }
@@ -413,7 +411,7 @@ fn materialise_composite(
     let packer = KeyPacker::fit(&key_cols);
     match sig.kind {
         AvKind::SortedProjection => {
-            let order: Vec<usize> = match &packer {
+            let order: Vec<u32> = match &packer {
                 Some(p) => {
                     let packed = p.pack(&key_cols);
                     match pool {
@@ -423,19 +421,15 @@ fn materialise_composite(
                         }
                         None => argsort(&packed),
                     }
-                    .into_iter()
-                    .map(|i| i as usize)
-                    .collect()
                 }
                 None => {
                     // Stable lexicographic argsort over the raw tuples —
                     // the order the packed path would have produced.
-                    let rows = key_cols[0].len();
-                    let mut idx: Vec<usize> = (0..rows).collect();
+                    let mut idx: Vec<u32> = (0..entry.relation.rows() as u32).collect();
                     idx.sort_by(|&a, &b| {
                         key_cols
                             .iter()
-                            .map(|c| c[a].cmp(&c[b]))
+                            .map(|c| c[a as usize].cmp(&c[b as usize]))
                             .find(|o| *o != std::cmp::Ordering::Equal)
                             .unwrap_or(std::cmp::Ordering::Equal)
                     });

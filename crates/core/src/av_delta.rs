@@ -631,20 +631,17 @@ fn publish_with_hidden(
 /// Stable sort of `rel` by the key columns (lexicographic for
 /// composites) — exactly the order the from-scratch builders produce.
 fn sort_by_keys(rel: &Relation, key_names: &[&str]) -> Result<Relation> {
-    let order: Vec<usize> = if key_names.len() == 1 {
+    let order: Vec<u32> = if key_names.len() == 1 {
         argsort(rel.column(key_names[0])?.as_u32()?)
-            .into_iter()
-            .map(|i| i as usize)
-            .collect()
     } else {
         let cols: Vec<&[u32]> = key_names
             .iter()
             .map(|k| -> Result<&[u32]> { Ok(rel.column(k)?.as_u32()?) })
             .collect::<Result<_>>()?;
-        let mut idx: Vec<usize> = (0..rel.rows()).collect();
+        let mut idx: Vec<u32> = (0..rel.rows() as u32).collect();
         idx.sort_by(|&a, &b| {
             cols.iter()
-                .map(|c| c[a].cmp(&c[b]))
+                .map(|c| c[a as usize].cmp(&c[b as usize]))
                 .find(|o| *o != Ordering::Equal)
                 .unwrap_or(Ordering::Equal)
         });
@@ -672,30 +669,9 @@ fn merge_sorted(
         .iter()
         .map(|k| -> Result<&[u32]> { Ok(b.column(k)?.as_u32()?) })
         .collect::<Result<_>>()?;
-    let (n, m) = (a.rows(), b.rows());
-    let mut order = Vec::with_capacity(n + m);
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < n && j < m {
-        let a_le_b = ka
-            .iter()
-            .zip(&kb)
-            .map(|(x, y)| x[i].cmp(&y[j]))
-            .find(|o| *o != Ordering::Equal)
-            .unwrap_or(Ordering::Equal)
-            != Ordering::Greater;
-        if a_le_b {
-            order.push(i);
-            i += 1;
-        } else {
-            order.push(n + j);
-            j += 1;
-        }
-    }
-    order.extend(i..n);
-    order.extend((n + j)..(n + m));
-
     // Concatenate columns, then gather the merged order out of the
-    // concatenation (through the pool for large outputs).
+    // concatenation (through the pool for large outputs). Building the
+    // concatenation first bounds `n + m`, so every row id fits a u32.
     let mut cols = Vec::with_capacity(a.schema().width());
     for idx in 0..a.schema().width() {
         let mut col = a.column_at(idx)?.clone();
@@ -711,6 +687,28 @@ fn merge_sorted(
         }
         rel
     };
+    let (n, m) = (a.rows(), b.rows());
+    let mut order = Vec::with_capacity(n + m);
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < n && j < m {
+        let a_le_b = ka
+            .iter()
+            .zip(&kb)
+            .map(|(x, y)| x[i].cmp(&y[j]))
+            .find(|o| *o != Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
+            != Ordering::Greater;
+        if a_le_b {
+            order.push(i as u32);
+            i += 1;
+        } else {
+            order.push((n + j) as u32);
+            j += 1;
+        }
+    }
+    order.extend(i as u32..n as u32);
+    order.extend((n + j) as u32..(n + m) as u32);
+
     match pool {
         Some(tp) => Ok(parallel_gather(tp, &concat, &order)?),
         None => Ok(concat.gather(&order)),

@@ -12,7 +12,9 @@ use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
-use dqo_exec::grouping::{execute_grouping, GroupedResult, GroupingAlgorithm, GroupingHints};
+use dqo_exec::grouping::{
+    check_lengths, execute_grouping, GroupedResult, GroupingAlgorithm, GroupingHints,
+};
 use dqo_exec::join::{execute_join as run_join, JoinAlgorithm, JoinHints};
 use dqo_exec::pipeline::{
     grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
@@ -184,7 +186,7 @@ fn exec_node_inner(
         PhysicalPlan::PartitionedScan { table, parts, .. } => {
             let entry = catalog.get(table)?;
             let rel = entry.relation.as_ref();
-            // Surviving ranges are gathered in flat row order, so a scan
+            // Surviving ranges are copied in flat row order, so a scan
             // of all partitions is bit-identical to the flat scan — and a
             // pruned scan is the flat scan minus the pruned rows, order
             // preserved. Without a partition map (spec dropped by a
@@ -192,12 +194,7 @@ fn exec_node_inner(
             // which is always sound.
             let rel = match &entry.partitioning {
                 Some(p) if parts.len() < p.part_count() => {
-                    let idx: Vec<usize> = p
-                        .flat_order_ranges(parts)
-                        .into_iter()
-                        .flat_map(|(s, e)| s..e)
-                        .collect();
-                    rel.gather(&idx)
+                    rel.gather_ranges(&p.flat_order_ranges(parts))
                 }
                 _ => rel.clone(),
             };
@@ -222,10 +219,8 @@ fn exec_node_inner(
         } => {
             let rel = exec_node(input, ctx, stats, obs)?;
             let keys = rel.column(key)?.as_u32()?;
-            let order: Vec<usize> = match molecule {
-                dqo_plan::SortMolecule::Comparison => {
-                    argsort(keys).into_iter().map(|i| i as usize).collect()
-                }
+            let order: Vec<u32> = match molecule {
+                dqo_plan::SortMolecule::Comparison => argsort(keys),
                 dqo_plan::SortMolecule::Radix => {
                     let mut pairs: Vec<(u32, u32)> = keys
                         .iter()
@@ -233,7 +228,7 @@ fn exec_node_inner(
                         .map(|(i, &k)| (k, i as u32))
                         .collect();
                     radix_sort_pairs_by_key(&mut pairs);
-                    pairs.into_iter().map(|(_, i)| i as usize).collect()
+                    pairs.into_iter().map(|(_, i)| i).collect()
                 }
             };
             stats.record(Blocking::FullBreaker, rel.rows() as u64);
@@ -404,11 +399,13 @@ fn partition_bounds(plan: &PhysicalPlan, catalog: &Catalog, rows: usize) -> Vec<
     bounds
 }
 
-/// First `n` rows of a relation.
+/// First `n` rows of a relation: the input itself, column buffers
+/// shared, when it has no more than `n` rows; else a copied prefix.
 fn take_rows(rel: &Relation, n: u64) -> Relation {
-    let keep = (rel.rows() as u64).min(n) as usize;
-    let idx: Vec<usize> = (0..keep).collect();
-    rel.gather(&idx)
+    if rel.rows() as u64 <= n {
+        return rel.clone();
+    }
+    rel.gather_ranges(&[(0, n as usize)])
 }
 
 /// Map plan vocabulary onto the execution engine.
@@ -460,33 +457,26 @@ fn assemble_join_output(
     r: &Relation,
     result: &dqo_exec::join::JoinResult,
 ) -> Result<Relation> {
-    let li: Vec<usize> = result.left_rows.iter().map(|&i| i as usize).collect();
-    let ri: Vec<usize> = result.right_rows.iter().map(|&i| i as usize).collect();
-    concat_columns(&l.gather(&li), &r.gather(&ri))
+    concat_columns(&l.gather(&result.left_rows), &r.gather(&result.right_rows))
 }
 
 /// Concatenate the columns of two equal-length relations under the
-/// qualified join schema, carrying `Str` dictionaries across (the codes
-/// are copied verbatim, so the source dictionaries stay valid).
+/// qualified join schema. The column buffers are shared, not copied, and
+/// `Str` dictionaries carry across with them.
 fn concat_columns(left: &Relation, right: &Relation) -> Result<Relation> {
     let schema = left.schema().join(right.schema(), "right")?;
-    let mut columns: Vec<Column> = Vec::with_capacity(schema.width());
-    for i in 0..left.schema().width() {
-        columns.push(left.column_at(i)?.clone());
-    }
-    for i in 0..right.schema().width() {
-        columns.push(right.column_at(i)?.clone());
-    }
-    let mut rel = Relation::new(schema, columns)?;
-    let width_left = left.schema().width();
-    for i in 0..width_left {
-        if let Some(dict) = left.dictionary_at(i)? {
-            rel = rel.with_dictionary_at(i, Arc::clone(dict))?;
+    let mut columns = Vec::with_capacity(schema.width());
+    let mut dictionaries = Vec::with_capacity(schema.width());
+    for side in [left, right] {
+        for i in 0..side.schema().width() {
+            columns.push(side.column_arc_at(i)?);
+            dictionaries.push(side.dictionary_at(i)?.cloned());
         }
     }
-    for i in 0..right.schema().width() {
-        if let Some(dict) = right.dictionary_at(i)? {
-            rel = rel.with_dictionary_at(width_left + i, Arc::clone(dict))?;
+    let mut rel = Relation::from_arcs(schema, columns)?;
+    for (i, dict) in dictionaries.into_iter().enumerate() {
+        if let Some(dict) = dict {
+            rel = rel.with_dictionary_at(i, dict)?;
         }
     }
     Ok(rel)
@@ -540,6 +530,9 @@ impl GroupKernel<'_> {
         data: &[u32],
         values: &[u32],
     ) -> Result<(GroupedResult<FullAggState>, PipelineStats)> {
+        // The kernels zip keys with values; a length mismatch would
+        // silently truncate the input, so it is an error in every build.
+        check_lengths(data, values)?;
         match *self {
             GroupKernel::Serial { algo, molecules } => {
                 let exec_algo = to_exec_grouping(algo);
@@ -692,7 +685,6 @@ fn exec_sort_parallel(
     let (order, par_stats) =
         dqo_parallel::parallel_argsort(pool, keys, to_run_molecule(molecule), bounds)?;
     stats.merge(&par_stats);
-    let order: Vec<usize> = order.into_iter().map(|i| i as usize).collect();
     Ok(rel.gather(&order))
 }
 
@@ -722,8 +714,10 @@ fn parallel_join(
     })
 }
 
-/// Morsel-parallel filter (dispatched from an `Exchange` node): evaluate
-/// the predicate mask per morsel in parallel, then apply it once.
+/// Morsel-parallel filter (dispatched from an `Exchange` node): every
+/// morsel evaluates and counts its predicate mask in parallel, the masks
+/// compact in morsel order into one selection of global row ids, and one
+/// parallel gather materialises it.
 fn exec_filter_parallel(
     rel: &Relation,
     predicate: &Predicate,
@@ -731,17 +725,11 @@ fn exec_filter_parallel(
     bounds: &[usize],
     stats: &mut PipelineStats,
 ) -> Result<Relation> {
-    dqo_parallel::check_bounds(bounds, rel.rows())?;
-    let ms = dqo_parallel::morsels_within(bounds, DEFAULT_MORSEL_ROWS);
-    let chunks = pool.map_morsel_list(&ms, |m| {
+    let out = dqo_parallel::parallel_filter(pool, rel, bounds, DEFAULT_MORSEL_ROWS, |m| {
         eval_predicate_range(rel, predicate, m.start, m.end)
     })?;
-    let mut mask = Vec::with_capacity(rel.rows());
-    for chunk in chunks {
-        mask.extend_from_slice(&chunk?);
-    }
     stats.record(Blocking::Pipelined, rel.rows() as u64);
-    Ok(rel.filter(&mask)?)
+    Ok(out)
 }
 
 /// All aggregates must read the same input column (engine restriction,
@@ -931,6 +919,8 @@ fn str_dictionary<'a>(rel: &'a Relation, column: &str) -> Result<&'a Arc<Diction
 }
 
 /// Apply a per-code boolean table to the code column over `[start, end)`.
+/// The codes are validated first, so the mask is collected at its exact
+/// size by an infallible lookup.
 fn mask_by_code_table(
     codes: &[u32],
     table: &[bool],
@@ -938,16 +928,13 @@ fn mask_by_code_table(
     end: usize,
     column: &str,
 ) -> Result<Vec<bool>> {
-    codes[start..end]
-        .iter()
-        .map(|&c| {
-            table.get(c as usize).copied().ok_or_else(|| {
-                CoreError::Unsupported(format!(
-                    "code {c} of column '{column}' missing from its dictionary"
-                ))
-            })
-        })
-        .collect()
+    let codes = &codes[start..end];
+    if let Some(c) = codes.iter().find(|&&c| c as usize >= table.len()) {
+        return Err(CoreError::Unsupported(format!(
+            "code {c} of column '{column}' missing from its dictionary"
+        )));
+    }
+    Ok(codes.iter().map(|&c| table[c as usize]).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -963,7 +950,14 @@ pub fn naive_eval(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
         LogicalPlan::Filter { input, predicate } => {
             let rel = naive_eval(input, catalog)?;
             let mask = eval_predicate(&rel, predicate)?;
-            Ok(rel.filter(&mask)?)
+            // The oracle selects with its own obvious loop rather than the
+            // engine's `select` kernel, so a kernel bug cannot hide by also
+            // corrupting the reference.
+            let sel: Vec<u32> = (0..rel.rows())
+                .filter(|&i| mask[i])
+                .map(|i| i as u32)
+                .collect();
+            Ok(rel.gather(&sel))
         }
         LogicalPlan::Project { input, columns } => {
             let rel = naive_eval(input, catalog)?;
@@ -973,8 +967,7 @@ pub fn naive_eval(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
         LogicalPlan::Sort { input, key } => {
             let rel = naive_eval(input, catalog)?;
             let keys = rel.column(key)?.as_u32()?;
-            let order: Vec<usize> = argsort(keys).into_iter().map(|i| i as usize).collect();
-            Ok(rel.gather(&order))
+            Ok(rel.gather(&argsort(keys)))
         }
         LogicalPlan::Join {
             left,
@@ -991,8 +984,8 @@ pub fn naive_eval(plan: &LogicalPlan, catalog: &Catalog) -> Result<Relation> {
             for (i, &a) in lk.iter().enumerate() {
                 for (j, &b) in rk.iter().enumerate() {
                     if a == b {
-                        li.push(i);
-                        ri.push(j);
+                        li.push(i as u32);
+                        ri.push(j as u32);
                     }
                 }
             }
@@ -1063,6 +1056,28 @@ mod tests {
     use crate::optimizer::{optimize, OptimizeRequest, OptimizerMode};
     use dqo_plan::expr::CmpOp;
     use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
+
+    #[test]
+    fn group_kernels_reject_mismatched_lengths_in_every_build() {
+        let pool = ThreadPool::new(2);
+        let kernels = [
+            GroupKernel::Serial {
+                algo: GroupingImpl::Hg,
+                molecules: Default::default(),
+            },
+            GroupKernel::Parallel {
+                algo: GroupingImpl::Sphg,
+                pool: &pool,
+                bounds: &[0, 2],
+            },
+        ];
+        for kernel in kernels {
+            assert_eq!(
+                kernel.run(&[1, 2], &[1]).unwrap_err(),
+                CoreError::Exec(dqo_exec::ExecError::LengthMismatch { keys: 2, values: 1 })
+            );
+        }
+    }
 
     fn check_plan_matches_naive(logical: &LogicalPlan, catalog: &Catalog) {
         let naive = naive_eval(logical, catalog).unwrap();

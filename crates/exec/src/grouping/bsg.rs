@@ -29,7 +29,6 @@ pub fn binary_search_grouping<A: Aggregator>(
     agg: A,
     known_keys: &[u32],
 ) -> GroupedResult<A::State> {
-    debug_assert_eq!(keys.len(), values.len());
     let mut sorted_keys: Vec<u32> = known_keys.to_vec();
     sorted_keys.sort_unstable();
     sorted_keys.dedup();

@@ -29,7 +29,6 @@ where
     A: Aggregator,
     T: GroupTable<A::State>,
 {
-    debug_assert_eq!(keys.len(), values.len());
     for (&k, &v) in keys.iter().zip(values) {
         let state = table.upsert_with(k, A::State::default);
         agg.update(state, v);

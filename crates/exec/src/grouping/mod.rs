@@ -11,6 +11,11 @@
 //! All variants compute their aggregates **on the fly** and store a mapping
 //! from grouping key to aggregate data (§4.1); none materialises the input
 //! groups as tuple sets.
+//!
+//! The kernels read `keys[i]` with `values[i]` and trust the two columns to
+//! be equally long. The entry points check that once, in release builds
+//! too, with [`check_lengths`]: [`execute_grouping`] here, and the parallel
+//! and plan-level dispatchers that call kernels directly.
 
 pub mod bsg;
 pub mod hg;
@@ -194,7 +199,9 @@ pub fn execute_grouping<A: Aggregator>(
     }
 }
 
-fn check_lengths(keys: &[u32], values: &[u32]) -> Result<()> {
+/// [`ExecError::LengthMismatch`] unless `keys` and `values` are equally
+/// long — the precondition every grouping kernel relies on.
+pub fn check_lengths(keys: &[u32], values: &[u32]) -> Result<()> {
     if keys.len() != values.len() {
         return Err(ExecError::LengthMismatch {
             keys: keys.len(),

@@ -24,7 +24,6 @@ pub fn order_grouping<A: Aggregator>(
     values: &[u32],
     agg: A,
 ) -> Result<GroupedResult<A::State>> {
-    debug_assert_eq!(keys.len(), values.len());
     let mut keys_out: Vec<u32> = Vec::new();
     let mut states: Vec<A::State> = Vec::new();
     let mut seen: HashSet<u32> = HashSet::new();

@@ -18,7 +18,6 @@ pub fn sort_order_grouping<A: Aggregator>(
     values: &[u32],
     agg: A,
 ) -> GroupedResult<A::State> {
-    debug_assert_eq!(keys.len(), values.len());
     // Materialise (key, value) pairs — the sort must keep them aligned.
     let mut pairs: Vec<(u32, u32)> = keys.iter().copied().zip(values.iter().copied()).collect();
     pairs.sort_unstable_by_key(|&(k, _)| k);

@@ -26,7 +26,6 @@ pub fn sph_grouping<A: Aggregator>(
     min: u32,
     max: u32,
 ) -> Result<GroupedResult<A::State>> {
-    debug_assert_eq!(keys.len(), values.len());
     if keys.is_empty() {
         return Ok(GroupedResult {
             keys: Vec::new(),

@@ -4,39 +4,28 @@
 //! time gets them at zero build cost — which makes the build itself the
 //! thing worth parallelising: it is embarrassingly parallel and competes
 //! with live queries only through the pool it shares with them. This
-//! module supplies the two kernels `dqo-core`'s AV materialiser needs on
-//! top of the existing parallel sort and parallel grouping:
-//!
-//! * [`parallel_sph_index_build`] — a partitioned CSR build of
-//!   [`SphIndex`]: morsel-parallel key scanning into per-block
-//!   histograms, one serial prefix/cursor pass over the domain, then a
-//!   parallel fill where every block scatters its rows through its own
-//!   cursor vector. Within a slot, block `b`'s rows land before block
-//!   `b + 1`'s and each block scans rows in ascending order, so the CSR
-//!   layout is **bit-identical** to the serial [`SphIndex::build`] at
-//!   any DOP or steal order.
-//! * [`parallel_gather`] — a range-partitioned [`Relation::gather`]:
-//!   the selection vector splits into contiguous chunks, every
-//!   (column, chunk) pair gathers independently, and chunks concatenate
-//!   in chunk order — the result equals the serial gather column for
-//!   column.
-//!
-//! Both fall back to the serial kernel when splitting cannot pay
-//! (one worker, tiny inputs, or a domain so sparse that per-block
-//! histograms would dwarf the scan).
+//! module supplies the one kernel `dqo-core`'s AV materialiser needs on
+//! top of the existing parallel sort, parallel grouping and
+//! [`crate::parallel_gather`]: [`parallel_sph_index_build`], a
+//! partitioned CSR build of [`SphIndex`]. Morsel-parallel key scanning
+//! fills per-block histograms, one serial prefix/cursor pass runs over
+//! the domain, then a parallel fill lets every block scatter its rows
+//! through its own cursor vector. Within a slot, block `b`'s rows land
+//! before block `b + 1`'s and each block scans rows in ascending order,
+//! so the CSR layout is **bit-identical** to the serial
+//! [`SphIndex::build`] at any DOP or steal order. The build falls back
+//! to the serial one when splitting cannot pay (one worker, tiny
+//! inputs, or a domain so sparse that per-block histograms would dwarf
+//! the scan).
 
-use crate::pool::{PoolError, ThreadPool};
+use crate::pool::ThreadPool;
 use dqo_exec::join::sphj::SphIndex;
 use dqo_exec::ExecError;
-use dqo_storage::{DataType, Relation};
 use std::sync::Mutex;
 
 /// Smallest per-block row count worth a dedicated histogram pass; below
 /// this the serial build wins outright.
 pub const MIN_SPH_BLOCK_ROWS: usize = 1 << 12;
-
-/// Smallest gather chunk worth a dedicated task.
-pub const MIN_GATHER_CHUNK_ROWS: usize = 1 << 12;
 
 /// Build an [`SphIndex`] over `keys` for the dense domain `[min, max]`
 /// on the pool — bit-identical to the serial [`SphIndex::build`].
@@ -153,62 +142,9 @@ pub fn parallel_sph_index_build(
     SphIndex::from_csr(min, offsets, rows)
 }
 
-/// Gather `indices` out of `rel` on the pool — equal to the serial
-/// [`Relation::gather`] column for column (dictionaries included).
-///
-/// The selection vector splits into contiguous chunks; each
-/// (column, chunk) task gathers independently and the chunks
-/// concatenate in chunk order, so the output is deterministic for any
-/// DOP or steal order.
-pub fn parallel_gather(
-    pool: &ThreadPool,
-    rel: &Relation,
-    indices: &[usize],
-) -> Result<Relation, PoolError> {
-    let width = rel.schema().width();
-    let chunks = pool
-        .threads()
-        .min(indices.len().div_ceil(MIN_GATHER_CHUNK_ROWS))
-        .max(1);
-    if chunks == 1 || width == 0 {
-        return Ok(rel.gather(indices));
-    }
-    let bounds: Vec<usize> = (0..=chunks).map(|c| c * indices.len() / chunks).collect();
-    let parts = pool.map_tasks(width * chunks, |t| {
-        let (col, chunk) = (t / chunks, t % chunks);
-        let column = rel.column_at(col).expect("column index in range");
-        column.gather(&indices[bounds[chunk]..bounds[chunk + 1]])
-    })?;
-    let mut columns = Vec::with_capacity(width);
-    let mut iter = parts.into_iter();
-    for _ in 0..width {
-        let mut column = iter.next().expect("one chunk per column at least");
-        for _ in 1..chunks {
-            let part = iter.next().expect("chunk count is fixed");
-            column.append(&part).expect("chunks share the column type");
-        }
-        columns.push(column);
-    }
-    let mut out = Relation::new(rel.schema().clone(), columns)
-        .expect("gathered columns match the source schema");
-    // Re-attach dictionaries so decoded views keep working (the serial
-    // gather carries them over implicitly).
-    for field in rel.schema().fields() {
-        if field.data_type == DataType::Str {
-            if let Ok(Some(dict)) = rel.dictionary(&field.name) {
-                out = out
-                    .with_dictionary(&field.name, std::sync::Arc::clone(dict))
-                    .expect("field is a Str column of the same schema");
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqo_storage::{Column, Field, Schema};
 
     fn keys(n: usize, domain: u32, seed: u32) -> Vec<u32> {
         (0..n)
@@ -275,55 +211,5 @@ mod tests {
         let pool = ThreadPool::new(8);
         let par = parallel_sph_index_build(&pool, &data, 0, 999_951).unwrap();
         assert_eq!(par, serial);
-    }
-
-    fn sample_relation(n: usize) -> Relation {
-        let schema = Schema::new(vec![
-            Field::new("k", DataType::U32),
-            Field::new("v", DataType::U64),
-            Field::new("f", DataType::Bool),
-        ])
-        .unwrap();
-        Relation::new(
-            schema,
-            vec![
-                Column::U32(keys(n, 1 << 20, 7)),
-                Column::U64((0..n as u64).collect()),
-                Column::Bool((0..n).map(|i| i % 3 == 0).collect()),
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn gather_matches_serial_across_threads() {
-        let rel = sample_relation(30_000);
-        let indices: Vec<usize> = (0..30_000).rev().step_by(3).collect();
-        let serial = rel.gather(&indices);
-        for threads in [1, 2, 8] {
-            let pool = ThreadPool::new(threads);
-            let par = parallel_gather(&pool, &rel, &indices).unwrap();
-            assert_eq!(par.rows(), serial.rows(), "threads={threads}");
-            for c in 0..serial.schema().width() {
-                assert_eq!(
-                    format!("{:?}", par.column_at(c).unwrap()),
-                    format!("{:?}", serial.column_at(c).unwrap()),
-                    "threads={threads} column={c}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gather_empty_and_tiny_selections() {
-        let rel = sample_relation(100);
-        let pool = ThreadPool::new(4);
-        assert_eq!(parallel_gather(&pool, &rel, &[]).unwrap().rows(), 0);
-        let one = parallel_gather(&pool, &rel, &[99]).unwrap();
-        assert_eq!(one.rows(), 1);
-        assert_eq!(
-            format!("{:?}", one.column_at(0).unwrap()),
-            format!("{:?}", rel.gather(&[99]).column_at(0).unwrap())
-        );
     }
 }

@@ -14,7 +14,7 @@
 use crate::morsel::{check_bounds, morsels_within, Morsel};
 use crate::pool::ThreadPool;
 use dqo_exec::aggregate::Aggregator;
-use dqo_exec::grouping::{hg, GroupedResult};
+use dqo_exec::grouping::{check_lengths, hg, GroupedResult};
 use dqo_exec::pipeline::{Blocking, PipelineStats};
 use dqo_exec::ExecError;
 use std::collections::{BTreeMap, HashMap};
@@ -61,12 +61,7 @@ pub fn parallel_grouping<A: Aggregator>(
         A::IS_DECOMPOSABLE,
         "parallel grouping requires a decomposable aggregate"
     );
-    if keys.len() != values.len() {
-        return Err(ExecError::LengthMismatch {
-            keys: keys.len(),
-            values: values.len(),
-        });
-    }
+    check_lengths(keys, values)?;
     check_bounds(bounds, keys.len())?;
     let ms = morsels_within(bounds, morsel_rows);
     let mut stats = PipelineStats::default();

@@ -34,10 +34,13 @@
 //!   (run aggregation with deterministic boundary stitching) and
 //!   parallel SOJ (range-partitioned merge join) build on it, completing
 //!   parallel coverage of the paper's sort-based operator family;
-//! * [`av_build`] — offline Algorithmic-View build kernels: a
-//!   partitioned bit-identical SPH-index CSR build and a
-//!   range-partitioned relation gather, so `dqo-core` can materialise
-//!   every AV kind through the shared pool.
+//! * [`select`] — parallel row materialisation: morsel-local
+//!   mask → selection compaction concatenated in morsel order, and a
+//!   range-partitioned gather into exact-size columns — the
+//!   `Exchange`-dispatched Filter and the AV builds' sorted gathers;
+//! * [`av_build`] — the partitioned bit-identical SPH-index CSR build,
+//!   so `dqo-core` can materialise every AV kind through the shared
+//!   pool.
 //!
 //! Everything is **deterministic by construction**: per-morsel outputs
 //! are concatenated in morsel order and per-worker partials merge
@@ -65,15 +68,17 @@ pub mod merge_path;
 pub mod morsel;
 pub mod persistent;
 pub mod pool;
+pub mod select;
 pub mod sort;
 
 pub use admission::{AdmissionController, AdmissionPermit};
-pub use av_build::{parallel_gather, parallel_sph_index_build};
+pub use av_build::parallel_sph_index_build;
 pub use grouping::{parallel_grouping, GroupingStrategy};
 pub use join::{parallel_hash_join, parallel_sph_join};
 pub use morsel::{check_bounds, morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, BatchHandle, PersistentPool};
 pub use pool::{BatchObs, PoolError, ThreadPool};
+pub use select::{parallel_filter, parallel_gather, parallel_select};
 pub use sort::{
     parallel_argsort, parallel_sog, parallel_sort_index, parallel_sort_merge_join, RunSortMolecule,
 };
@@ -101,6 +106,7 @@ mod tests {
                 parallel_argsort(&pool, &keys, m, b).map(drop),
                 parallel_sog(&pool, &keys, &keys, CountSum, m, b).map(drop),
                 parallel_sort_merge_join(&pool, &keys, &keys, m, b).map(drop),
+                parallel_select(&pool, n, b, 16, |ms| Ok(vec![true; ms.len()])).map(drop),
             ]
         };
         for r in run(&[0, n / 2]) {

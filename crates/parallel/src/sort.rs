@@ -30,7 +30,7 @@
 use crate::morsel::check_bounds;
 use crate::pool::{PoolError, ThreadPool};
 use dqo_exec::aggregate::Aggregator;
-use dqo_exec::grouping::GroupedResult;
+use dqo_exec::grouping::{check_lengths, GroupedResult};
 use dqo_exec::join::soj::merge_join_views;
 use dqo_exec::join::JoinResult;
 use dqo_exec::pipeline::{Blocking, PipelineStats};
@@ -205,12 +205,7 @@ pub fn parallel_sog<A: Aggregator>(
         A::IS_DECOMPOSABLE,
         "parallel SOG requires a decomposable aggregate"
     );
-    if keys.len() != values.len() {
-        return Err(ExecError::LengthMismatch {
-            keys: keys.len(),
-            values: values.len(),
-        });
-    }
+    check_lengths(keys, values)?;
     let (sorted, mut stats) = parallel_sort_index(pool, keys, molecule, bounds)?;
     let n = sorted.len();
     let parts = pool.threads().min(n.max(1));

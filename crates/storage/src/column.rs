@@ -1,14 +1,58 @@
-//! Typed columns.
+//! Typed columns and the one way rows are materialised.
 //!
 //! A [`Column`] is a contiguous, fully materialised vector of one scalar
 //! type. Hot operator code obtains the raw slice (e.g. [`Column::as_u32`])
 //! and works on it directly; `Value`-based access exists for the API
 //! boundary and tests.
+//!
+//! Every operator that picks rows out of its input materialises them the
+//! same way, with X100-style selection vectors: a `u32` vector of row ids
+//! and an exact-size typed [`Column::gather`]. A predicate mask becomes a
+//! selection through the branch-free [`select`] kernel ([`select_into`]
+//! when the output slot is already allocated); sort orders and join row
+//! ids are selections already. Contiguous row ranges (surviving
+//! partitions, a `LIMIT` prefix) copy with [`Column::gather_ranges`]
+//! instead, one `extend_from_slice` per range.
 
 use crate::error::StorageError;
 use crate::value::{DataType, Value};
 use crate::Result;
 use serde::{Deserialize, Serialize};
+
+/// Largest row count a relation may hold: every row id must fit the `u32`
+/// of a selection vector.
+pub const MAX_ROWS: usize = u32::MAX as usize;
+
+/// Compact a predicate mask into a selection vector: the ids `base + i` of
+/// the rows whose mask bit is set, in ascending order, allocated at its
+/// exact size. `base + mask.len()` must not exceed [`MAX_ROWS`].
+pub fn select(mask: &[bool], base: u32) -> Vec<u32> {
+    let mut sel = vec![0; count_selected(mask)];
+    select_into(mask, base, &mut sel);
+    sel
+}
+
+/// Number of set bits in `mask`: the length of its selection.
+pub fn count_selected(mask: &[bool]) -> usize {
+    mask.iter().map(|&m| m as usize).sum()
+}
+
+/// The branch-free kernel behind [`select`]: compact `mask` into `out`,
+/// which must hold exactly [`count_selected`]`(mask)` ids.
+///
+/// Every row up to the last selected one writes its id unconditionally and
+/// the write cursor then advances by the mask bit, so the loop costs the
+/// same at any selectivity. Stopping at the last selected row keeps every
+/// write inside `out`.
+pub fn select_into(mask: &[bool], base: u32, out: &mut [u32]) {
+    let end = mask.iter().rposition(|&m| m).map_or(0, |last| last + 1);
+    let mut n = 0;
+    for (i, &m) in mask[..end].iter().enumerate() {
+        out[n] = base + i as u32;
+        n += m as usize;
+    }
+    assert_eq!(n, out.len(), "`out` must hold exactly the selected rows");
+}
 
 /// A typed, fully materialised column.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -146,44 +190,43 @@ impl Column {
         })
     }
 
-    /// Build a new column by picking the rows at `indices` (gather).
+    /// Build a new column from the rows at `sel`, in `sel` order (gather).
+    /// The output is allocated at its exact size.
     ///
-    /// Out-of-range indices are a programming error and panic in debug; in
-    /// release they would panic via slice indexing as well, which is the
-    /// desired fail-fast behaviour for a corrupted selection vector.
-    pub fn gather(&self, indices: &[usize]) -> Column {
+    /// An out-of-range row id is a corrupted selection and panics via
+    /// slice indexing, in release builds too.
+    pub fn gather(&self, sel: &[u32]) -> Column {
+        fn pick<T: Copy>(v: &[T], sel: &[u32]) -> Vec<T> {
+            sel.iter().map(|&i| v[i as usize]).collect()
+        }
         match self {
-            Column::U32(v) => Column::U32(indices.iter().map(|&i| v[i]).collect()),
-            Column::U64(v) => Column::U64(indices.iter().map(|&i| v[i]).collect()),
-            Column::I64(v) => Column::I64(indices.iter().map(|&i| v[i]).collect()),
-            Column::F64(v) => Column::F64(indices.iter().map(|&i| v[i]).collect()),
-            Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i]).collect()),
-            Column::Str(v) => Column::Str(indices.iter().map(|&i| v[i]).collect()),
+            Column::U32(v) => Column::U32(pick(v, sel)),
+            Column::U64(v) => Column::U64(pick(v, sel)),
+            Column::I64(v) => Column::I64(pick(v, sel)),
+            Column::F64(v) => Column::F64(pick(v, sel)),
+            Column::Bool(v) => Column::Bool(pick(v, sel)),
+            Column::Str(v) => Column::Str(pick(v, sel)),
         }
     }
 
-    /// Filter by a boolean selection mask of the same length.
-    pub fn filter(&self, mask: &[bool]) -> Result<Column> {
-        if mask.len() != self.len() {
-            return Err(StorageError::ColumnLengthMismatch {
-                expected: self.len(),
-                found: mask.len(),
-            });
+    /// Build a new column from the half-open row `ranges`, in order: one
+    /// `extend_from_slice` per range into an exact-size buffer.
+    pub fn gather_ranges(&self, ranges: &[(usize, usize)]) -> Column {
+        fn copy<T: Copy>(v: &[T], ranges: &[(usize, usize)]) -> Vec<T> {
+            let mut out = Vec::with_capacity(ranges.iter().map(|(s, e)| e - s).sum());
+            for &(s, e) in ranges {
+                out.extend_from_slice(&v[s..e]);
+            }
+            out
         }
-        fn keep<T: Copy>(v: &[T], mask: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(mask)
-                .filter_map(|(x, &m)| m.then_some(*x))
-                .collect()
+        match self {
+            Column::U32(v) => Column::U32(copy(v, ranges)),
+            Column::U64(v) => Column::U64(copy(v, ranges)),
+            Column::I64(v) => Column::I64(copy(v, ranges)),
+            Column::F64(v) => Column::F64(copy(v, ranges)),
+            Column::Bool(v) => Column::Bool(copy(v, ranges)),
+            Column::Str(v) => Column::Str(copy(v, ranges)),
         }
-        Ok(match self {
-            Column::U32(v) => Column::U32(keep(v, mask)),
-            Column::U64(v) => Column::U64(keep(v, mask)),
-            Column::I64(v) => Column::I64(keep(v, mask)),
-            Column::F64(v) => Column::F64(keep(v, mask)),
-            Column::Bool(v) => Column::Bool(keep(v, mask)),
-            Column::Str(v) => Column::Str(keep(v, mask)),
-        })
     }
 
     /// Concatenate another column of the same type onto this one.
@@ -308,16 +351,27 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_mask() {
-        let c = Column::F64(vec![1.0, 2.0, 3.0]);
-        let f = c.filter(&[true, false, true]).unwrap();
-        assert_eq!(f.as_f64().unwrap(), &[1.0, 3.0]);
+    fn select_compacts_mask_at_any_selectivity() {
+        assert_eq!(select(&[true, false, true], 0), vec![0, 2]);
+        assert_eq!(select(&[true, false, false], 0), vec![0]);
+        assert_eq!(select(&[false, true, true, false], 10), vec![11, 12]);
+        assert_eq!(select(&[true; 4], 0), vec![0, 1, 2, 3]);
+        assert!(select(&[false; 4], 0).is_empty());
+        assert!(select(&[], 7).is_empty());
     }
 
     #[test]
-    fn filter_mask_length_checked() {
-        let c = Column::U32(vec![1]);
-        assert!(c.filter(&[true, false]).is_err());
+    #[should_panic(expected = "exactly the selected rows")]
+    fn select_into_rejects_a_mis_sized_output() {
+        select_into(&[true, false], 0, &mut [0, 0]);
+    }
+
+    #[test]
+    fn gather_ranges_concatenates_in_order() {
+        let c = Column::I64(vec![0, 1, 2, 3, 4, 5]);
+        let g = c.gather_ranges(&[(4, 6), (0, 1), (2, 2)]);
+        assert_eq!(g.as_i64().unwrap(), &[4, 5, 0]);
+        assert!(c.gather_ranges(&[]).is_empty());
     }
 
     #[test]

@@ -35,6 +35,12 @@ pub enum StorageError {
         /// Number of rows.
         rows: usize,
     },
+    /// A relation would hold more rows than a `u32` row id can address
+    /// (see [`crate::column::MAX_ROWS`]).
+    TooManyRows {
+        /// The offending row count.
+        rows: usize,
+    },
     /// A dictionary code had no entry.
     UnknownDictionaryCode(u32),
     /// A dataset specification was internally inconsistent.
@@ -62,6 +68,11 @@ impl fmt::Display for StorageError {
             StorageError::RowIndexOutOfBounds { index, rows } => {
                 write!(f, "row index {index} out of bounds for {rows} rows")
             }
+            StorageError::TooManyRows { rows } => write!(
+                f,
+                "{rows} rows exceed the {} a u32 row id can address",
+                crate::column::MAX_ROWS
+            ),
             StorageError::UnknownDictionaryCode(code) => {
                 write!(f, "unknown dictionary code: {code}")
             }

@@ -33,7 +33,7 @@ pub mod schema;
 pub mod stats;
 pub mod value;
 
-pub use column::Column;
+pub use column::{count_selected, select, select_into, Column, MAX_ROWS};
 pub use datagen::{DatasetSpec, ForeignKeySpec};
 pub use dictionary::Dictionary;
 pub use error::StorageError;

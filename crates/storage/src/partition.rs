@@ -335,12 +335,13 @@ impl PartitionedRelation {
         spec.validate()?;
         let col = partition_column(&rel, &spec.column)?;
         let n = spec.part_count();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Row ids fit a u32: `Relation` bounds its row count.
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (row, &v) in col.iter().enumerate() {
-            buckets[spec.route(v)].push(row);
+            buckets[spec.route(v)].push(row as u32);
         }
-        let order: Vec<usize> = buckets.into_iter().flatten().collect();
-        let identity = order.iter().enumerate().all(|(i, &r)| i == r);
+        let order: Vec<u32> = buckets.into_iter().flatten().collect();
+        let identity = order.iter().enumerate().all(|(i, &r)| i == r as usize);
         let flat = if identity { rel } else { rel.gather(&order) };
         let flat_col = partition_column(&flat, &spec.column)?;
         let partitioning = Partitioning::build(spec.clone(), flat_col)?;

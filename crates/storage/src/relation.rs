@@ -1,6 +1,15 @@
 //! Relations: schemas plus equal-length columns.
+//!
+//! A relation materialises rows one way: [`Relation::gather`] copies the
+//! rows of a `u32` selection vector into exact-size columns, and
+//! [`Relation::filter`] is that gather over the selection the branch-free
+//! [`crate::column::select`] kernel compacts out of a predicate mask.
+//! Contiguous row ranges copy with [`Relation::gather_ranges`]; a filter
+//! that keeps every row shares its input's column buffers. Row ids are
+//! `u32`, so a relation holds at most [`MAX_ROWS`] rows, checked on
+//! construction and on append.
 
-use crate::column::Column;
+use crate::column::{select, Column, MAX_ROWS};
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
 use crate::schema::{Field, Schema};
@@ -38,7 +47,7 @@ impl Relation {
                 found: columns.len(),
             });
         }
-        let rows = columns.first().map_or(0, |c| c.len());
+        let rows = check_rows(columns.first().map_or(0, |c| c.len()))?;
         for (field, col) in schema.fields().iter().zip(&columns) {
             if col.len() != rows {
                 return Err(StorageError::ColumnLengthMismatch {
@@ -156,6 +165,17 @@ impl Relation {
             })
     }
 
+    /// Shared handle to a column by position (O(1), no copy).
+    pub fn column_arc_at(&self, idx: usize) -> Result<Arc<Column>> {
+        self.columns
+            .get(idx)
+            .map(Arc::clone)
+            .ok_or(StorageError::ColumnIndexOutOfBounds {
+                index: idx,
+                width: self.columns.len(),
+            })
+    }
+
     /// Shared handle to a column by name (O(1), no copy).
     pub fn column_arc(&self, name: &str) -> Result<Arc<Column>> {
         Ok(Arc::clone(&self.columns[self.schema.index_of(name)?]))
@@ -205,35 +225,45 @@ impl Relation {
         })
     }
 
-    /// Gather rows at `indices` into a new relation (materialising copy).
-    pub fn gather(&self, indices: &[usize]) -> Relation {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| Arc::new(c.gather(indices)))
-            .collect();
-        Relation {
-            schema: self.schema.clone(),
-            columns,
-            dictionaries: self.dictionaries.clone(),
-            rows: indices.len(),
-        }
+    /// Gather the rows at `sel` into a new relation (materialising copy),
+    /// one exact-size [`Column::gather`] per column. A zero-width relation
+    /// keeps the selection's row count.
+    pub fn gather(&self, sel: &[u32]) -> Relation {
+        self.with_columns(self.columns.iter().map(|c| c.gather(sel)), sel.len())
     }
 
-    /// Filter rows by a boolean mask.
+    /// Copy the half-open row `ranges`, in order, into a new relation.
+    pub fn gather_ranges(&self, ranges: &[(usize, usize)]) -> Relation {
+        let rows = ranges.iter().map(|(s, e)| e - s).sum();
+        self.with_columns(self.columns.iter().map(|c| c.gather_ranges(ranges)), rows)
+    }
+
+    /// Keep the rows whose `mask` bit is set: one [`select`] pass builds
+    /// the selection, then every column is gathered once. When every row
+    /// survives, the column buffers are shared instead of copied.
     pub fn filter(&self, mask: &[bool]) -> Result<Relation> {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| c.filter(mask).map(Arc::new))
-            .collect::<Result<Vec<_>>>()?;
-        let rows = columns.first().map_or(0, |c| c.len());
-        Ok(Relation {
+        if mask.len() != self.rows {
+            return Err(StorageError::ColumnLengthMismatch {
+                expected: self.rows,
+                found: mask.len(),
+            });
+        }
+        let sel = select(mask, 0);
+        if sel.len() == self.rows {
+            return Ok(self.clone());
+        }
+        Ok(self.gather(&sel))
+    }
+
+    /// This relation's schema and dictionaries over new columns of `rows`
+    /// rows each.
+    fn with_columns(&self, columns: impl Iterator<Item = Column>, rows: usize) -> Relation {
+        Relation {
             schema: self.schema.clone(),
-            columns,
+            columns: columns.map(Arc::new).collect(),
             dictionaries: self.dictionaries.clone(),
             rows,
-        })
+        }
     }
 
     /// Total heap footprint of all columns, in bytes.
@@ -257,6 +287,7 @@ impl Relation {
     /// the wrong width is a [`StorageError::ColumnLengthMismatch`].
     pub fn append_rows(&self, rows: &[Vec<Value>]) -> Result<AppendedRelation> {
         let width = self.schema.width();
+        let total = check_rows(self.rows + rows.len())?;
         for row in rows {
             if row.len() != width {
                 return Err(StorageError::ColumnLengthMismatch {
@@ -309,7 +340,7 @@ impl Relation {
             schema: self.schema.clone(),
             columns: combined_cols,
             dictionaries: dictionaries.clone(),
-            rows: self.rows + rows.len(),
+            rows: total,
         };
         let delta = Relation {
             schema: self.schema.clone(),
@@ -319,6 +350,15 @@ impl Relation {
         };
         Ok(AppendedRelation { combined, delta })
     }
+}
+
+/// `rows` if every row id of a relation that long fits a `u32`, else
+/// [`StorageError::TooManyRows`].
+fn check_rows(rows: usize) -> Result<usize> {
+    if rows > MAX_ROWS {
+        return Err(StorageError::TooManyRows { rows });
+    }
+    Ok(rows)
 }
 
 /// Result of [`Relation::append_rows`]: the full relation after the append
@@ -429,6 +469,37 @@ mod tests {
         let f = r.filter(&[false, true, false]).unwrap();
         assert_eq!(f.rows(), 1);
         assert_eq!(f.column("k").unwrap().as_u32().unwrap(), &[2]);
+        let ranges = r.gather_ranges(&[(2, 3), (0, 1)]);
+        assert_eq!(ranges.rows(), 2);
+        assert_eq!(ranges.column("k").unwrap().as_u32().unwrap(), &[3, 1]);
+    }
+
+    #[test]
+    fn filter_checks_mask_length_and_shares_when_all_survive() {
+        let r = sample();
+        assert!(matches!(
+            r.filter(&[true]),
+            Err(StorageError::ColumnLengthMismatch {
+                expected: 3,
+                found: 1
+            })
+        ));
+        let all = r.filter(&[true; 3]).unwrap();
+        assert!(Arc::ptr_eq(
+            &r.column_arc("k").unwrap(),
+            &all.column_arc("k").unwrap()
+        ));
+        assert_eq!(r.filter(&[false; 3]).unwrap().rows(), 0);
+    }
+
+    #[test]
+    fn row_count_is_bounded_by_u32_row_ids() {
+        assert_eq!(check_rows(0).unwrap(), 0);
+        assert_eq!(check_rows(MAX_ROWS).unwrap(), MAX_ROWS);
+        assert_eq!(
+            check_rows(MAX_ROWS + 1),
+            Err(StorageError::TooManyRows { rows: MAX_ROWS + 1 })
+        );
     }
 
     #[test]

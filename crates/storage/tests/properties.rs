@@ -1,12 +1,14 @@
 //! Property tests for the storage substrate: statistics vs oracles,
-//! generator guarantees, and codec roundtrips.
+//! generator guarantees, codec roundtrips, and the mask → selection →
+//! gather materialisation path vs a plain `filter_map` reference.
 
 use dqo_storage::datagen::DatasetSpec;
 use dqo_storage::rowcodec::{decode_rows, encode_rows};
 use dqo_storage::stats::ColumnStats;
-use dqo_storage::{Column, DataType, Dictionary, Field, Relation, Schema};
+use dqo_storage::{select, Column, DataType, Dictionary, Field, Relation, Schema};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A strategy-friendly pool of short strings: arbitrary bytes mapped onto
 /// a compact alphabet so duplicates and shared prefixes are common (the
@@ -141,8 +143,112 @@ proptest! {
         let expected: Vec<u32> = data.iter().copied().filter(|&v| v < threshold).collect();
         prop_assert_eq!(filtered.column("k").unwrap().as_u32().unwrap(), &expected[..]);
         // gather with identity permutation is a no-op.
-        let idx: Vec<usize> = (0..data.len()).collect();
+        let idx: Vec<u32> = (0..data.len() as u32).collect();
         let gathered = rel.gather(&idx);
         prop_assert_eq!(gathered.column("k").unwrap().as_u32().unwrap(), &data[..]);
+    }
+}
+
+/// Lengths around the 2^16 boundary, plus the degenerate ones.
+const LENGTHS: [usize; 5] = [0, 1, 65_535, 65_536, 65_537];
+
+/// The reference: keep `v[i]` where `mask[i]`, by the obvious `filter_map`.
+fn keep<T: Copy>(v: &[T], mask: &[bool]) -> Vec<T> {
+    v.iter()
+        .zip(mask)
+        .filter_map(|(x, &m)| m.then_some(*x))
+        .collect()
+}
+
+fn reference(col: &Column, mask: &[bool]) -> Column {
+    match col {
+        Column::U32(v) => Column::U32(keep(v, mask)),
+        Column::U64(v) => Column::U64(keep(v, mask)),
+        Column::I64(v) => Column::I64(keep(v, mask)),
+        Column::F64(v) => Column::F64(keep(v, mask)),
+        Column::Bool(v) => Column::Bool(keep(v, mask)),
+        Column::Str(v) => Column::Str(keep(v, mask)),
+    }
+}
+
+/// A relation with one column of every type, the `Str` one carrying a
+/// dictionary, filled from a small xorshift stream seeded by `seed`.
+fn every_type_relation(n: usize, seed: u64) -> Relation {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let raw: Vec<u64> = (0..n).map(|_| next()).collect();
+    let words: Vec<String> = raw.iter().map(|&r| word(r as u32)).collect();
+    let (dict, codes) = Dictionary::encode_all(&words);
+    let schema = Schema::new(vec![
+        Field::new("u32", DataType::U32),
+        Field::new("u64", DataType::U64),
+        Field::new("i64", DataType::I64),
+        Field::new("f64", DataType::F64),
+        Field::new("bool", DataType::Bool),
+        Field::new("str", DataType::Str),
+    ])
+    .unwrap();
+    Relation::new(
+        schema,
+        vec![
+            Column::U32(raw.iter().map(|&r| r as u32).collect()),
+            Column::U64(raw.clone()),
+            Column::I64(raw.iter().map(|&r| r as i64).collect()),
+            Column::F64(raw.iter().map(|&r| (r >> 11) as f64 / 3.0).collect()),
+            Column::Bool(raw.iter().map(|&r| r & 1 == 1).collect()),
+            Column::Str(codes),
+        ],
+    )
+    .unwrap()
+    .with_dictionary("str", Arc::new(dict))
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn mask_selection_gather_matches_filter_map(
+        seed in any::<u64>(),
+        percent in 0u64..101,
+    ) {
+        for n in LENGTHS {
+            let rel = every_type_relation(n, seed);
+            let mut x = seed.rotate_left(17) | 1;
+            let random: Vec<bool> = (0..n)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (x >> 33) % 100 < percent
+                })
+                .collect();
+            for mask in [vec![false; n], vec![true; n], random] {
+                let sel = select(&mask, 0);
+                let expected: Vec<u32> = (0..n as u32).filter(|&i| mask[i as usize]).collect();
+                prop_assert_eq!(&sel, &expected);
+                let hits = expected.len();
+                for out in [rel.filter(&mask).unwrap(), rel.gather(&sel)] {
+                    prop_assert_eq!(out.rows(), hits);
+                    for c in 0..rel.schema().width() {
+                        let col = rel.column_at(c).unwrap();
+                        prop_assert_eq!(out.column_at(c).unwrap(), &reference(col, &mask));
+                    }
+                    // `Str` dictionaries carry over, shared.
+                    prop_assert!(Arc::ptr_eq(
+                        out.dictionary("str").unwrap().unwrap(),
+                        rel.dictionary("str").unwrap().unwrap()
+                    ));
+                }
+                // A zero-width relation keeps its row count.
+                let bare = rel.project(&[]).unwrap();
+                prop_assert_eq!(bare.rows(), n);
+                prop_assert_eq!(bare.filter(&mask).unwrap().rows(), hits);
+                prop_assert_eq!(bare.gather(&sel).rows(), hits);
+            }
+        }
     }
 }

@@ -14,9 +14,10 @@ use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo::exec::join::soj::sort_merge_join;
 use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints};
 use dqo::exec::sort::argsort;
+use dqo::exec::ExecError;
 use dqo::parallel::{
-    parallel_argsort, parallel_grouping, parallel_hash_join, parallel_sog,
-    parallel_sort_merge_join, GroupingStrategy, RunSortMolecule, ThreadPool,
+    parallel_argsort, parallel_filter, parallel_grouping, parallel_hash_join, parallel_sog,
+    parallel_sort_merge_join, GroupingStrategy, Morsel, RunSortMolecule, ThreadPool,
 };
 use dqo::storage::datagen::{zipf_keys, DatasetSpec, ForeignKeySpec};
 use dqo::storage::Value;
@@ -496,6 +497,39 @@ fn filter_matches_serial_across_threads() {
     for threads in THREAD_COUNTS {
         let db = db_with_table(150_000, 1_000, 5, threads);
         assert_eq!(run_sorted(&db, sql), reference, "threads={threads}");
+    }
+}
+
+#[test]
+fn exchange_filter_bit_identical_to_serial_across_bounds_and_dop() {
+    // The Exchange Filter's kernel — per-morsel mask → selection,
+    // morsel-order concatenation, parallel gather — against the serial
+    // `Relation::filter`, byte for byte, dictionaries carried over.
+    let rel = mixed_relation(150_000, 1_000, 5, 0.0);
+    let n = rel.rows();
+    let keys = rel.column("key").unwrap().as_u32().unwrap();
+    for percent in [0u32, 1, 62, 100] {
+        let keep = |k: u32| k % 100 < percent;
+        let mask: Vec<bool> = keys.iter().map(|&k| keep(k)).collect();
+        let serial = rel.filter(&mask).unwrap();
+        for threads in THREAD_COUNTS {
+            let pool = ThreadPool::new(threads);
+            for bounds in bounds_axis(n) {
+                let par = parallel_filter(&pool, &rel, &bounds, 4_096, |m: Morsel| {
+                    Ok::<_, ExecError>(keys[m.start..m.end].iter().map(|&k| keep(k)).collect())
+                })
+                .unwrap();
+                let ctx = format!("percent={percent} threads={threads} bounds={bounds:?}");
+                assert_relations_identical(&par, &serial, &ctx);
+                assert!(
+                    std::sync::Arc::ptr_eq(
+                        par.dictionary("cat").unwrap().unwrap(),
+                        rel.dictionary("cat").unwrap().unwrap()
+                    ),
+                    "{ctx}"
+                );
+            }
+        }
     }
 }
 
