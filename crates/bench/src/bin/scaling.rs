@@ -1,7 +1,7 @@
 //! Parallel scaling harness: morsel-driven HJ and SPHG speedup over the
-//! serial kernels at thread counts 1/2/4/8, plus the FILTER and GATHER
-//! materialisation rows at DOP 2. Exits non-zero if a checked parallel
-//! result differs from the serial one.
+//! serial kernels at thread counts 1/2/4/8, plus the HG-SPARSE/HG-ZIPF
+//! hash-grouping and FILTER/GATHER materialisation rows at DOP 2. Exits
+//! non-zero if a checked parallel result differs from the serial one.
 //!
 //! ```text
 //! cargo run -p dqo-bench --release --bin scaling                  # 1M rows

@@ -1,9 +1,10 @@
 //! Parallel scaling study: morsel-driven HJ and SPHG versus the serial
 //! kernels, across thread counts — the measurement the `scaling` binary
 //! and criterion bench share, so future changes can track the trajectory.
-//! The FILTER and GATHER rows time the row-materialisation path (mask →
-//! selection → gather) serially and at DOP 2, and check every parallel
-//! result against the serial one.
+//! The HG-SPARSE and HG-ZIPF rows time high-cardinality and skewed hash
+//! grouping, and the FILTER and GATHER rows the row-materialisation path
+//! (mask → selection → gather), serially and at DOP 2, checking every
+//! parallel result against the serial one.
 
 use dqo_exec::aggregate::CountSum;
 use dqo_exec::composite::KeyPacker;
@@ -12,10 +13,12 @@ use dqo_exec::join::hj::hash_join;
 use dqo_exec::sort::argsort;
 use dqo_exec::ExecError;
 use dqo_parallel::{
-    parallel_filter, parallel_gather, parallel_grouping, parallel_hash_join, GroupingStrategy,
-    PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS,
+    hash_grouping_with_molecules, parallel_filter, parallel_gather, parallel_grouping,
+    parallel_hash_join, GroupingStrategy, PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
-use dqo_storage::datagen::{DatasetSpec, ForeignKeySpec};
+use dqo_plan::physical::GroupingMolecules;
+use dqo_plan::{HashFnMolecule, TableMolecule};
+use dqo_storage::datagen::{zipf_keys, DatasetSpec, ForeignKeySpec};
 use dqo_storage::{Column, DataType, Field, PartitionSpec, PartitionedRelation, Relation, Schema};
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,7 +35,7 @@ pub struct ScalingPoint {
     /// Serial kernel time / this configuration's time.
     pub speedup: f64,
     /// Whether this parallel result equals the serial one, for the
-    /// workloads that check it (FILTER, GATHER); `None` otherwise.
+    /// workloads that check it (HG, FILTER, GATHER); `None` otherwise.
     pub matches_serial: Option<bool>,
 }
 
@@ -294,8 +297,63 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
         });
     }
 
+    hash_grouping(rows, reps, &mut out);
     materialisation(rows, reps, &mut out);
     out
+}
+
+/// The HG-SPARSE (16,384 keys spread over u32) and HG-ZIPF (4,096 keys,
+/// exponent 1.1) rows: serial HG against parallel HG at DOP 2, both on
+/// the linear-probing + Fibonacci molecules the optimiser plans for these
+/// inputs; the parallel result is checked against the serial one sorted.
+fn hash_grouping(rows: usize, reps: usize, out: &mut Vec<ScalingPoint>) {
+    const DOP: usize = 2;
+    let molecules = GroupingMolecules {
+        table: Some(TableMolecule::LinearProbing),
+        hash: Some(HashFnMolecule::Fibonacci),
+        load_loop: None,
+    };
+    let pool = ThreadPool::with_pool(DOP, Arc::new(PersistentPool::new(DOP)));
+    let sparse = DatasetSpec::new(rows, 16_384)
+        .dense(false)
+        .generate()
+        .expect("datagen");
+    let zipf = zipf_keys(rows, 4_096, 1.1, 0x21);
+    for (workload, keys) in [("HG-SPARSE", sparse), ("HG-ZIPF", zipf)] {
+        let serial = || hash_grouping_with_molecules(&keys, &keys, CountSum, molecules);
+        let parallel = || {
+            parallel_grouping(
+                &pool,
+                &keys,
+                &keys,
+                CountSum,
+                GroupingStrategy::Hash(molecules),
+                &[0, keys.len()],
+                DEFAULT_MORSEL_ROWS,
+            )
+            .expect("parallel HG")
+            .0
+        };
+        let mut reference = serial();
+        reference.sort_by_key();
+        let same = parallel() == reference;
+        let serial_ms = best_of(reps, || serial().len() as u64);
+        let ms = best_of(reps, || parallel().len() as u64);
+        out.push(ScalingPoint {
+            workload,
+            threads: 0,
+            millis: serial_ms,
+            speedup: 1.0,
+            matches_serial: None,
+        });
+        out.push(ScalingPoint {
+            workload,
+            threads: DOP,
+            millis: ms,
+            speedup: serial_ms / ms,
+            matches_serial: Some(same),
+        });
+    }
 }
 
 /// The FILTER and GATHER rows: a 2-column relation filtered at 1%, 62%
@@ -380,9 +438,9 @@ mod tests {
     fn produces_points_for_every_configuration() {
         let points = run(20_000, 64, &[1, 2], 1);
         // Per workload (SPHG, SPHG-2COL, PART-SPHG, HJ): serial baseline
-        // + 2 thread counts; per FILTER selectivity and GATHER: serial
-        // baseline + DOP 2.
-        assert_eq!(points.len(), 12 + 4 * 2);
+        // + 2 thread counts; per HG input, FILTER selectivity and GATHER:
+        // serial baseline + DOP 2.
+        assert_eq!(points.len(), 12 + 6 * 2);
         assert!(points
             .iter()
             .all(|p| p.millis.is_finite() && p.millis >= 0.0));
@@ -396,7 +454,14 @@ mod tests {
             .iter()
             .any(|p| p.workload == "PART-SPHG" && p.threads == 2));
         assert!(points.iter().any(|p| p.workload == "HJ" && p.threads == 2));
-        for workload in ["FILTER-1%", "FILTER-62%", "FILTER-99%", "GATHER"] {
+        for workload in [
+            "HG-SPARSE",
+            "HG-ZIPF",
+            "FILTER-1%",
+            "FILTER-62%",
+            "FILTER-99%",
+            "GATHER",
+        ] {
             assert!(points
                 .iter()
                 .any(|p| p.workload == workload && p.threads == 0));

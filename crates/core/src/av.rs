@@ -35,6 +35,7 @@ use dqo_parallel::{
     parallel_argsort, parallel_gather, parallel_grouping, parallel_sph_index_build,
     GroupingStrategy, RunSortMolecule, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
+use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::PlanProps;
 use dqo_storage::{Column, DataType, Field, Relation, Schema, Sortedness};
 use parking_lot::RwLock;
@@ -362,7 +363,8 @@ pub fn materialise_av_on(catalog: &Catalog, sig: &AvSignature, pool: &ThreadPool
         AvKind::MaterialisedGrouping => {
             let props = catalog.column_props(&sig.table, &sig.column)?;
             // The same molecule split the query engine uses: the dense
-            // SPH array when density admits it, chaining hash otherwise.
+            // SPH array when density admits it, HG's default chaining
+            // table otherwise.
             // Both kernels emit ascending keys with exactly-merged
             // decomposable states, i.e. the serial artifact.
             let strategy = if props.rows > 0 && props.density.is_dense() {
@@ -371,7 +373,7 @@ pub fn materialise_av_on(catalog: &Catalog, sig: &AvSignature, pool: &ThreadPool
                     max: props.max,
                 }
             } else {
-                GroupingStrategy::Hash
+                GroupingStrategy::Hash(GroupingMolecules::default())
             };
             let (g, _) = parallel_grouping(
                 pool,
@@ -458,7 +460,7 @@ fn materialise_composite(
                                 &packed,
                                 values,
                                 CountSum,
-                                GroupingStrategy::Hash,
+                                GroupingStrategy::Hash(GroupingMolecules::default()),
                                 &[0, packed.len()],
                                 DEFAULT_MORSEL_ROWS,
                             )?

@@ -17,11 +17,10 @@ use dqo_exec::aggregate::Aggregator;
 use dqo_exec::bundle::{aggregate_bundle, aggregate_bundle_parallel, Bundle, GroupProducer};
 use dqo_exec::grouping::GroupedResult;
 use dqo_exec::sort::radix_sort_pairs_by_key;
-use dqo_hashtable::{
-    ChainingTable, Fibonacci, GroupTable, Identity, LinearProbingTable, Murmur3Finalizer,
-    RobinHoodTable, SortedArrayTable, StaticPerfectHash,
-};
+use dqo_hashtable::{GroupTable, SortedArrayTable, StaticPerfectHash};
+use dqo_parallel::{with_hash_molecules, WithGroupTable};
 use dqo_plan::deep::{DeepPlan, Granule};
+use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{HashFnMolecule, LoopMolecule, SortMolecule, TableMolecule};
 
 /// Execute a complete deep grouping plan over `(keys, values)`.
@@ -124,43 +123,28 @@ fn build_index_bundle(
         producers.sort_unstable_by_key(|p| p.key);
         Bundle { producers }
     }
-    let cap = 1024;
     Ok(match (table, hash) {
-        (TableMolecule::Chaining, Some(HashFnMolecule::Murmur3)) => load(
-            ChainingTable::with_capacity_and_hasher(cap, Murmur3Finalizer),
-            keys,
-        ),
-        (TableMolecule::Chaining, Some(HashFnMolecule::Fibonacci)) => load(
-            ChainingTable::with_capacity_and_hasher(cap, Fibonacci),
-            keys,
-        ),
-        (TableMolecule::Chaining, Some(HashFnMolecule::Identity)) => {
-            load(ChainingTable::with_capacity_and_hasher(cap, Identity), keys)
+        (
+            TableMolecule::Chaining | TableMolecule::LinearProbing | TableMolecule::RobinHood,
+            Some(_),
+        ) => {
+            struct Load<'a>(&'a [u32]);
+            impl WithGroupTable<Vec<u32>> for Load<'_> {
+                type Output = Bundle;
+                fn run<T: GroupTable<Vec<u32>> + Send>(
+                    self,
+                    new_table: impl Fn() -> T + Sync,
+                ) -> Bundle {
+                    load(new_table(), self.0)
+                }
+            }
+            let molecules = GroupingMolecules {
+                table: Some(table),
+                hash,
+                load_loop: None,
+            };
+            with_hash_molecules(molecules, Load(keys))
         }
-        (TableMolecule::LinearProbing, Some(HashFnMolecule::Murmur3)) => load(
-            LinearProbingTable::with_capacity_and_hasher(cap, Murmur3Finalizer),
-            keys,
-        ),
-        (TableMolecule::LinearProbing, Some(HashFnMolecule::Fibonacci)) => load(
-            LinearProbingTable::with_capacity_and_hasher(cap, Fibonacci),
-            keys,
-        ),
-        (TableMolecule::LinearProbing, Some(HashFnMolecule::Identity)) => load(
-            LinearProbingTable::with_capacity_and_hasher(cap, Identity),
-            keys,
-        ),
-        (TableMolecule::RobinHood, Some(HashFnMolecule::Murmur3)) => load(
-            RobinHoodTable::with_capacity_and_hasher(cap, Murmur3Finalizer),
-            keys,
-        ),
-        (TableMolecule::RobinHood, Some(HashFnMolecule::Fibonacci)) => load(
-            RobinHoodTable::with_capacity_and_hasher(cap, Fibonacci),
-            keys,
-        ),
-        (TableMolecule::RobinHood, Some(HashFnMolecule::Identity)) => load(
-            RobinHoodTable::with_capacity_and_hasher(cap, Identity),
-            keys,
-        ),
         (TableMolecule::StaticPerfectHash, _) => {
             let (min, max) = match (keys.iter().min(), keys.iter().max()) {
                 (Some(&lo), Some(&hi)) => (lo, hi),

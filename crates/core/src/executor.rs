@@ -20,7 +20,10 @@ use dqo_exec::pipeline::{
     grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
 };
 use dqo_exec::sort::{argsort, radix_sort_pairs_by_key};
-use dqo_parallel::{BatchObs, GroupingStrategy, PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS};
+use dqo_parallel::{
+    hash_grouping_with_molecules, BatchObs, GroupingStrategy, PersistentPool, ThreadPool,
+    DEFAULT_MORSEL_ROWS,
+};
 use dqo_plan::expr::{AggExpr, AggFunc, Predicate};
 use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan};
 use dqo_storage::{Column, DataType, Dictionary, Field, Relation, Schema, Value};
@@ -297,7 +300,7 @@ fn exec_node_inner(
                     keys,
                     aggs,
                     algo,
-                    ..
+                    molecules,
                 } if matches!(
                     algo,
                     GroupingImpl::Hg | GroupingImpl::Sphg | GroupingImpl::Sog
@@ -307,6 +310,7 @@ fn exec_node_inner(
                     let bounds = partition_bounds(child, catalog, rel.rows());
                     let kernel = GroupKernel::Parallel {
                         algo: *algo,
+                        molecules: *molecules,
                         pool: &tp,
                         bounds: &bounds,
                     };
@@ -512,11 +516,13 @@ enum GroupKernel<'a> {
         molecules: dqo_plan::physical::GroupingMolecules,
     },
     /// Morsel-parallel HG/SPHG through `dqo-parallel`'s thread-local
-    /// aggregation, or SOG through the parallel sort subsystem, seeded
-    /// by the input's segment `bounds`. Bit-identical to serial at any
-    /// DOP: packing is deterministic and the parallel merges are.
+    /// aggregation (HG on the same table/hash molecules as serial), or
+    /// SOG through the parallel sort subsystem, seeded by the input's
+    /// segment `bounds`. Bit-identical to serial at any DOP: packing is
+    /// deterministic and the parallel merges are.
     Parallel {
         algo: GroupingImpl,
+        molecules: dqo_plan::physical::GroupingMolecules,
         pool: &'a ThreadPool,
         bounds: &'a [usize],
     },
@@ -547,7 +553,7 @@ impl GroupKernel<'_> {
                 // optimiser's table/hash decision selects the concrete
                 // implementation.
                 let result = if algo == GroupingImpl::Hg {
-                    run_hash_grouping_with_molecules(data, values, molecules)
+                    hash_grouping_with_molecules(data, values, FullAgg, molecules)
                 } else {
                     execute_grouping(exec_algo, data, values, FullAgg, &hints)?
                 };
@@ -555,7 +561,12 @@ impl GroupKernel<'_> {
                 stats.record(grouping_blocking(exec_algo), data.len() as u64);
                 Ok((result, stats))
             }
-            GroupKernel::Parallel { algo, pool, bounds } => Ok(if algo == GroupingImpl::Sog {
+            GroupKernel::Parallel {
+                algo,
+                molecules,
+                pool,
+                bounds,
+            } => Ok(if algo == GroupingImpl::Sog {
                 let molecule = dqo_parallel::RunSortMolecule::Comparison;
                 dqo_parallel::parallel_sog(pool, data, values, FullAgg, molecule, bounds)?
             } else {
@@ -564,7 +575,7 @@ impl GroupKernel<'_> {
                         let (min, max) = min_max(data);
                         GroupingStrategy::StaticPerfectHash { min, max }
                     }
-                    _ => GroupingStrategy::Hash,
+                    _ => GroupingStrategy::Hash(molecules),
                 };
                 dqo_parallel::parallel_grouping(
                     pool,
@@ -775,41 +786,6 @@ fn materialise_agg(agg: &AggExpr, states: &[FullAggState]) -> Result<(Field, Col
             Column::F64(states.iter().map(|s| s.avg().unwrap_or(0.0)).collect()),
         ),
     })
-}
-
-/// Dispatch HG onto the optimiser-chosen table/hash molecules
-/// (`dqo-core::molecule`); unknown combinations fall back to the paper's
-/// chaining + Murmur3 default.
-fn run_hash_grouping_with_molecules(
-    keys: &[u32],
-    values: &[u32],
-    molecules: dqo_plan::physical::GroupingMolecules,
-) -> dqo_exec::GroupedResult<dqo_exec::aggregate::FullAggState> {
-    use dqo_exec::grouping::hg;
-    use dqo_hashtable::hash_fn::{Fibonacci, Identity, Murmur3Finalizer};
-    use dqo_plan::{HashFnMolecule as H, TableMolecule as T};
-    let cap = 1024;
-    match (molecules.table, molecules.hash) {
-        (Some(T::LinearProbing), Some(H::Identity)) => {
-            hg::hash_grouping_linear(keys, values, FullAgg, cap, Identity)
-        }
-        (Some(T::LinearProbing), Some(H::Fibonacci)) => {
-            hg::hash_grouping_linear(keys, values, FullAgg, cap, Fibonacci)
-        }
-        (Some(T::LinearProbing), Some(H::Murmur3)) => {
-            hg::hash_grouping_linear(keys, values, FullAgg, cap, Murmur3Finalizer)
-        }
-        (Some(T::RobinHood), Some(H::Identity)) => {
-            hg::hash_grouping_robin_hood(keys, values, FullAgg, cap, Identity)
-        }
-        (Some(T::RobinHood), Some(H::Fibonacci)) => {
-            hg::hash_grouping_robin_hood(keys, values, FullAgg, cap, Fibonacci)
-        }
-        (Some(T::RobinHood), Some(H::Murmur3)) => {
-            hg::hash_grouping_robin_hood(keys, values, FullAgg, cap, Murmur3Finalizer)
-        }
-        _ => hg::hash_grouping_chaining(keys, values, FullAgg, cap),
-    }
 }
 
 fn min_max(keys: &[u32]) -> (u32, u32) {
@@ -1067,6 +1043,7 @@ mod tests {
             },
             GroupKernel::Parallel {
                 algo: GroupingImpl::Sphg,
+                molecules: Default::default(),
                 pool: &pool,
                 bounds: &[0, 2],
             },

@@ -91,43 +91,78 @@ impl KeyPacker {
         self.spans.iter().product()
     }
 
-    /// Pack the key columns into one code column. The columns must be the
-    /// ones the packer was fitted to (same mins/spans).
+    /// Pack the key columns into one code column in a single pass over
+    /// the rows, checking every code against the `u32` domain. The
+    /// columns must be the ones the packer was fitted to (same
+    /// mins/spans).
     pub fn pack(&self, columns: &[&[u32]]) -> Vec<u32> {
         assert_eq!(columns.len(), self.width());
         let rows = columns.first().map_or(0, |c| c.len());
-        let mut out = vec![0u64; rows];
-        for ((col, &min), &stride) in columns.iter().zip(&self.mins).zip(&self.strides) {
-            for (acc, &v) in out.iter_mut().zip(*col) {
-                *acc += u64::from(v - min) * stride;
+        assert!(
+            columns.iter().all(|c| c.len() == rows),
+            "key columns must have equal lengths"
+        );
+        let code = |digits: u64| u32::try_from(digits).expect("fitted domain is within u32");
+        match *columns {
+            // The common composite key, zipped (the last stride is 1).
+            [first, second] => {
+                let (min0, min1, stride0) = (self.mins[0], self.mins[1], self.strides[0]);
+                first
+                    .iter()
+                    .zip(second)
+                    .map(|(&a, &b)| code(u64::from(a - min0) * stride0 + u64::from(b - min1)))
+                    .collect()
             }
+            _ => (0..rows)
+                .map(|row| {
+                    code(
+                        columns
+                            .iter()
+                            .zip(&self.mins)
+                            .zip(&self.strides)
+                            .fold(0, |acc, ((col, &min), &stride)| {
+                                acc + u64::from(col[row] - min) * stride
+                            }),
+                    )
+                })
+                .collect(),
         }
-        out.into_iter()
-            .map(|v| u32::try_from(v).expect("fitted domain is within u32"))
-            .collect()
     }
 
     /// Unpack one code back into its key tuple.
     pub fn unpack(&self, code: u32) -> Vec<u32> {
-        let mut rest = u64::from(code);
-        let mut out = Vec::with_capacity(self.width());
-        for (&stride, &min) in self.strides.iter().zip(&self.mins) {
-            let digit = rest / stride;
-            rest %= stride;
-            out.push(u32::try_from(digit).expect("digit < span ≤ u32") + min);
-        }
-        out
+        self.digits()
+            .map(|(stride, span, min)| Self::digit(code, stride, span, min))
+            .collect()
     }
 
-    /// Unpack a code column into per-key-column vectors (column-major).
+    /// Unpack a code column into per-key-column vectors (column-major),
+    /// decoding one key column at a time.
     pub fn unpack_columns(&self, codes: &[u32]) -> Vec<Vec<u32>> {
-        let mut cols = vec![Vec::with_capacity(codes.len()); self.width()];
-        for &code in codes {
-            for (col, v) in cols.iter_mut().zip(self.unpack(code)) {
-                col.push(v);
-            }
-        }
-        cols
+        self.digits()
+            .map(|(stride, span, min)| {
+                codes
+                    .iter()
+                    .map(|&code| Self::digit(code, stride, span, min))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Per key column: its stride, span and minimum.
+    fn digits(&self) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
+        self.strides
+            .iter()
+            .zip(&self.spans)
+            .zip(&self.mins)
+            .map(|((&stride, &span), &min)| (stride, span, min))
+    }
+
+    /// One key column's value in `code`: `code / stride % span + min`.
+    #[inline]
+    fn digit(code: u32, stride: u64, span: u64, min: u32) -> u32 {
+        let digit = u64::from(code) / stride % span;
+        u32::try_from(digit).expect("digit < span ≤ 2³²") + min
     }
 }
 
@@ -200,6 +235,28 @@ mod tests {
         let cols = packer.unpack_columns(&codes);
         assert_eq!(cols[0], a);
         assert_eq!(cols[1], b);
+    }
+
+    #[test]
+    fn three_column_pack_roundtrips_column_by_column() {
+        let a: Vec<u32> = (0..300).map(|i| i % 5 + 40).collect();
+        let b: Vec<u32> = (0..300).map(|i| i % 7).collect();
+        let c: Vec<u32> = (0..300).map(|i| i * 13 % 11 + 1_000).collect();
+        let packer = KeyPacker::fit(&[&a, &b, &c]).unwrap();
+        assert_eq!(packer.domain(), 5 * 7 * 11);
+        let codes = packer.pack(&[&a, &b, &c]);
+        assert_eq!(packer.unpack_columns(&codes), vec![a.clone(), b, c]);
+        assert_eq!(packer.unpack(codes[7]), vec![a[7], 0, 1_003]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fitted domain is within u32")]
+    fn pack_checks_codes_outside_the_fitted_domain() {
+        let a: Vec<u32> = vec![0, 1];
+        let b: Vec<u32> = vec![0, 0xFFFF];
+        let packer = KeyPacker::fit(&[&a, &b]).unwrap();
+        // Column `a` widened after fitting: 70,000 × 2¹⁶ leaves the u32 codes.
+        packer.pack(&[&[70_000, 0], &b]);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Parallel grouping: thread-local aggregation over morsels, then a
 //! deterministic merge.
 //!
-//! Every worker folds the morsels it executes into a thread-local
-//! structure — the same *molecule* choice the serial engine makes
-//! (chaining hash table for HG, dense SPH array for SPHG) — and the
-//! partial states are merged once at the end. Correctness rests on the
-//! aggregate being decomposable
+//! Every worker folds the morsels it executes into one thread-local
+//! structure — the same *molecule* the serial engine runs: for HG the
+//! table/hash pair the optimiser chose ([`GroupingMolecules`], dispatched
+//! by [`with_hash_molecules`], which serial HG shares), for SPHG the dense
+//! SPH array — and the partial states are merged once at the end.
+//! Correctness rests on the aggregate being decomposable
 //! ([`Aggregator::IS_DECOMPOSABLE`]): per-key partial states over a
 //! disjoint row partition merge to the same final state regardless of how
 //! work stealing split the morsels, so the output is **deterministic**
@@ -16,14 +17,19 @@ use crate::pool::ThreadPool;
 use dqo_exec::aggregate::Aggregator;
 use dqo_exec::grouping::{check_lengths, hg, GroupedResult};
 use dqo_exec::pipeline::{Blocking, PipelineStats};
+use dqo_exec::sort::radix_sort_pairs_by_key;
 use dqo_exec::ExecError;
-use std::collections::{BTreeMap, HashMap};
+use dqo_hashtable::hash_fn::{Fibonacci, Identity, Murmur3Finalizer};
+use dqo_hashtable::{ChainingTable, GroupTable, LinearProbingTable, RobinHoodTable};
+use dqo_plan::physical::GroupingMolecules;
+use dqo_plan::{HashFnMolecule, TableMolecule};
 
 /// Which thread-local structure each worker aggregates into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupingStrategy {
-    /// Chaining hash table per worker (parallel HG).
-    Hash,
+    /// One hash table per worker, of the table/hash molecules given
+    /// (parallel HG); see [`with_hash_molecules`].
+    Hash(GroupingMolecules),
     /// Dense array indexed by `key - min` per worker (parallel SPHG);
     /// requires the dense domain `[min, max]`.
     StaticPerfectHash {
@@ -32,6 +38,86 @@ pub enum GroupingStrategy {
         /// Largest key of the dense domain.
         max: u32,
     },
+}
+
+/// Initial capacity of every HG table; tables grow from there.
+const HG_TABLE_CAPACITY: usize = 1024;
+
+/// A computation over one concrete [`GroupTable`] type — what
+/// [`with_hash_molecules`] hands the chosen table's constructor to.
+pub trait WithGroupTable<V> {
+    /// The computation's result.
+    type Output;
+
+    /// Run with `new_table`, which creates an empty table of the chosen
+    /// molecules each time it is called.
+    fn run<T: GroupTable<V> + Send>(self, new_table: impl Fn() -> T + Sync) -> Self::Output;
+}
+
+/// The one HG molecule dispatch: run `f` over the table/hash pair the
+/// optimiser picked (`dqo-core::molecule`), so what EXPLAIN prints is what
+/// serial HG, parallel HG and the deep-plan interpreter all execute.
+/// Combinations without a table or hash decision fall back to the
+/// paper's chaining + Murmur3 default.
+pub fn with_hash_molecules<V: Send, F: WithGroupTable<V>>(
+    molecules: GroupingMolecules,
+    f: F,
+) -> F::Output {
+    use HashFnMolecule as H;
+    use TableMolecule as T;
+    let cap = HG_TABLE_CAPACITY;
+    match (molecules.table, molecules.hash) {
+        (Some(T::LinearProbing), Some(H::Identity)) => {
+            f.run(|| LinearProbingTable::with_capacity_and_hasher(cap, Identity))
+        }
+        (Some(T::LinearProbing), Some(H::Fibonacci)) => {
+            f.run(|| LinearProbingTable::with_capacity_and_hasher(cap, Fibonacci))
+        }
+        (Some(T::LinearProbing), Some(H::Murmur3)) => {
+            f.run(|| LinearProbingTable::with_capacity_and_hasher(cap, Murmur3Finalizer))
+        }
+        (Some(T::RobinHood), Some(H::Identity)) => {
+            f.run(|| RobinHoodTable::with_capacity_and_hasher(cap, Identity))
+        }
+        (Some(T::RobinHood), Some(H::Fibonacci)) => {
+            f.run(|| RobinHoodTable::with_capacity_and_hasher(cap, Fibonacci))
+        }
+        (Some(T::RobinHood), Some(H::Murmur3)) => {
+            f.run(|| RobinHoodTable::with_capacity_and_hasher(cap, Murmur3Finalizer))
+        }
+        (Some(T::Chaining), Some(H::Identity)) => {
+            f.run(|| ChainingTable::with_capacity_and_hasher(cap, Identity))
+        }
+        (Some(T::Chaining), Some(H::Fibonacci)) => {
+            f.run(|| ChainingTable::with_capacity_and_hasher(cap, Fibonacci))
+        }
+        _ => f.run(|| ChainingTable::with_capacity_and_hasher(cap, Murmur3Finalizer)),
+    }
+}
+
+/// Serial HG on the given molecules: one table, every row upserted in
+/// input order. The output order is the table's drain order (unsorted).
+pub fn hash_grouping_with_molecules<A: Aggregator>(
+    keys: &[u32],
+    values: &[u32],
+    agg: A,
+    molecules: GroupingMolecules,
+) -> GroupedResult<A::State> {
+    struct Serial<'a, A> {
+        keys: &'a [u32],
+        values: &'a [u32],
+        agg: A,
+    }
+    impl<A: Aggregator> WithGroupTable<A::State> for Serial<'_, A> {
+        type Output = GroupedResult<A::State>;
+        fn run<T: GroupTable<A::State> + Send>(
+            self,
+            new_table: impl Fn() -> T + Sync,
+        ) -> Self::Output {
+            hg::hash_grouping(self.keys, self.values, self.agg, new_table())
+        }
+    }
+    with_hash_molecules(molecules, Serial { keys, values, agg })
 }
 
 /// Parallel grouping of `keys`/`values` under `agg`.
@@ -67,7 +153,16 @@ pub fn parallel_grouping<A: Aggregator>(
     let mut stats = PipelineStats::default();
     stats.record(Blocking::FullBreaker, keys.len() as u64);
     let result = match strategy {
-        GroupingStrategy::Hash => hash_strategy(pool, keys, values, agg, &ms)?,
+        GroupingStrategy::Hash(molecules) => with_hash_molecules(
+            molecules,
+            PerWorkerTables {
+                pool,
+                keys,
+                values,
+                agg,
+                ms: &ms,
+            },
+        )?,
         GroupingStrategy::StaticPerfectHash { min, max } => {
             sph_strategy(pool, keys, values, agg, min, max, &ms)?
         }
@@ -80,48 +175,67 @@ pub fn parallel_grouping<A: Aggregator>(
     Ok((result, stats))
 }
 
-/// Parallel HG: per morsel, run the serial chaining kernel (the molecule
-/// the paper's HG names); fold its output into the worker's map; merge
-/// worker maps into a sorted result.
-fn hash_strategy<A: Aggregator>(
-    pool: &ThreadPool,
-    keys: &[u32],
-    values: &[u32],
+/// Parallel HG: each worker creates one table of the chosen molecules
+/// and upserts the rows of every morsel it runs straight into it; the
+/// drained worker partials are sorted by key once and adjacent equal
+/// keys fold with [`Aggregator::merge`], giving ascending output. The
+/// merge is exact and order-insensitive (decomposable aggregates), so
+/// the output does not depend on how morsels were split or stolen.
+struct PerWorkerTables<'a, A> {
+    pool: &'a ThreadPool,
+    keys: &'a [u32],
+    values: &'a [u32],
     agg: A,
-    ms: &[Morsel],
-) -> Result<GroupedResult<A::State>, ExecError> {
-    let worker_maps = pool.fold_morsel_list(ms, HashMap::<u32, A::State>::new, |map, m| {
-        let local = hg::hash_grouping_chaining(m.of(keys), m.of(values), agg, 64);
-        for (k, s) in local.keys.into_iter().zip(local.states) {
-            match map.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    agg.merge(e.get_mut(), &s);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(s);
-                }
+    ms: &'a [Morsel],
+}
+
+impl<A: Aggregator> WithGroupTable<A::State> for PerWorkerTables<'_, A> {
+    type Output = Result<GroupedResult<A::State>, ExecError>;
+
+    fn run<T: GroupTable<A::State> + Send>(self, new_table: impl Fn() -> T + Sync) -> Self::Output {
+        let PerWorkerTables {
+            pool,
+            keys,
+            values,
+            agg,
+            ms,
+        } = self;
+        let tables = pool.fold_morsel_list(ms, new_table, |table, m| {
+            for (&k, &v) in m.of(keys).iter().zip(m.of(values)) {
+                agg.update(table.upsert_with(k, A::State::default), v);
+            }
+        })?;
+        let mut tables = tables.into_iter();
+        let mut pairs = tables.next().map_or_else(Vec::new, GroupTable::drain);
+        for table in tables {
+            pairs.extend(table.drain());
+        }
+        // Sort (key, position) once — an LSB radix sort over four key
+        // bytes at most, cheaper than moving the states — then move each
+        // state out in key order.
+        let mut order: Vec<(u32, u32)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(k, _))| (k, u32::try_from(i).expect("at most one partial per row")))
+            .collect();
+        radix_sort_pairs_by_key(&mut order);
+        let mut keys_out: Vec<u32> = Vec::with_capacity(order.len());
+        let mut states: Vec<A::State> = Vec::with_capacity(order.len());
+        for (k, i) in order {
+            let s = std::mem::take(&mut pairs[i as usize].1);
+            if keys_out.last() == Some(&k) {
+                agg.merge(states.last_mut().expect("one state per key"), &s);
+            } else {
+                keys_out.push(k);
+                states.push(s);
             }
         }
-    })?;
-    let mut merged: BTreeMap<u32, A::State> = BTreeMap::new();
-    for map in worker_maps {
-        for (k, s) in map {
-            match merged.entry(k) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    agg.merge(e.get_mut(), &s);
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(s);
-                }
-            }
-        }
+        Ok(GroupedResult {
+            keys: keys_out,
+            states,
+            sorted_by_key: true,
+        })
     }
-    let (keys_out, states): (Vec<u32>, Vec<A::State>) = merged.into_iter().unzip();
-    Ok(GroupedResult {
-        keys: keys_out,
-        states,
-        sorted_by_key: true,
-    })
 }
 
 /// Per-worker SPH state: the dense aggregate array plus occupancy.
@@ -242,13 +356,64 @@ mod tests {
                 &keys,
                 &vals,
                 CountSum,
-                GroupingStrategy::Hash,
+                GroupingStrategy::Hash(GroupingMolecules::default()),
                 &[0, keys.len()],
                 1024,
             )
             .unwrap();
             assert_eq!(r, serial, "threads={threads}");
             assert!(stats.breakers >= 2);
+        }
+    }
+
+    /// Every table/hash molecule the optimiser can emit, plus the
+    /// undecided default.
+    fn hg_molecules() -> Vec<GroupingMolecules> {
+        let mut all = vec![GroupingMolecules::default()];
+        for table in [
+            TableMolecule::LinearProbing,
+            TableMolecule::RobinHood,
+            TableMolecule::Chaining,
+        ] {
+            for hash in [
+                HashFnMolecule::Identity,
+                HashFnMolecule::Fibonacci,
+                HashFnMolecule::Murmur3,
+            ] {
+                all.push(GroupingMolecules {
+                    table: Some(table),
+                    hash: Some(hash),
+                    load_loop: None,
+                });
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn hash_strategy_equals_the_shared_serial_dispatch_for_every_molecule() {
+        // Keys spread over u32 with thousands of groups, so every table
+        // grows past its initial capacity and probes collide.
+        let keys: Vec<u32> = (0..40_000u32)
+            .map(|i| (i % 5_003).wrapping_mul(2_654_435_761))
+            .collect();
+        let vals: Vec<u32> = (0..40_000u32).map(|i| i % 1000).collect();
+        let pool = ThreadPool::new(2);
+        for molecules in hg_molecules() {
+            let mut serial = hash_grouping_with_molecules(&keys, &vals, CountSum, molecules);
+            assert_eq!(serial.len(), 5_003);
+            serial.sort_by_key();
+            let (par, _) = parallel_grouping(
+                &pool,
+                &keys,
+                &vals,
+                CountSum,
+                GroupingStrategy::Hash(molecules),
+                &[0, keys.len()],
+                1024,
+            )
+            .unwrap();
+            assert_eq!(par, serial, "{molecules:?}");
         }
     }
 
@@ -294,7 +459,7 @@ mod tests {
             &[],
             &[],
             CountSum,
-            GroupingStrategy::Hash,
+            GroupingStrategy::Hash(GroupingMolecules::default()),
             &[0, 0],
             64,
         )
@@ -313,7 +478,7 @@ mod tests {
                 &[1, 2],
                 &[1],
                 CountSum,
-                GroupingStrategy::Hash,
+                GroupingStrategy::Hash(GroupingMolecules::default()),
                 &[0, 2],
                 64
             ),
@@ -330,7 +495,7 @@ mod tests {
             &keys,
             &vals,
             CountSum,
-            GroupingStrategy::Hash,
+            GroupingStrategy::Hash(GroupingMolecules::default()),
             &[0, keys.len()],
             256,
         )
@@ -341,7 +506,7 @@ mod tests {
                 &keys,
                 &vals,
                 CountSum,
-                GroupingStrategy::Hash,
+                GroupingStrategy::Hash(GroupingMolecules::default()),
                 &[0, keys.len()],
                 256,
             )

@@ -22,9 +22,10 @@
 //!   with the morsel batch APIs; batch-internal scheduling is
 //!   work-stealing over per-runner deques seeded with contiguous morsel
 //!   blocks;
-//! * [`grouping`] — parallel HG/SPHG: thread-local aggregation with the
-//!   serial molecules (chaining table, dense SPH array) and a
-//!   deterministic sorted merge;
+//! * [`grouping`] — parallel HG/SPHG: one thread-local table per worker
+//!   of the serial molecules (the planned HG table/hash pair through the
+//!   HG molecule dispatch serial HG shares, or the dense SPH array) and
+//!   a deterministic sorted merge;
 //! * [`join`] — the partitioned parallel hash join (parallel partition →
 //!   per-partition build → parallel probe) and a parallel SPHJ probe;
 //! * [`sort`] + [`merge_path`] — the parallel sort subsystem: per-worker
@@ -73,7 +74,10 @@ pub mod sort;
 
 pub use admission::{AdmissionController, AdmissionPermit};
 pub use av_build::parallel_sph_index_build;
-pub use grouping::{parallel_grouping, GroupingStrategy};
+pub use grouping::{
+    hash_grouping_with_molecules, parallel_grouping, with_hash_molecules, GroupingStrategy,
+    WithGroupTable,
+};
 pub use join::{parallel_hash_join, parallel_sph_join};
 pub use morsel::{check_bounds, morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, BatchHandle, PersistentPool};
@@ -97,10 +101,10 @@ mod tests {
         let n = keys.len();
         let pool = ThreadPool::new(2);
         let m = RunSortMolecule::Comparison;
+        let hash = GroupingStrategy::Hash(Default::default());
         let run = |b: &[usize]| -> Vec<Result<(), ExecError>> {
             vec![
-                parallel_grouping(&pool, &keys, &keys, CountSum, GroupingStrategy::Hash, b, 16)
-                    .map(drop),
+                parallel_grouping(&pool, &keys, &keys, CountSum, hash, b, 16).map(drop),
                 parallel_hash_join(&pool, &keys, &keys, b, 16).map(drop),
                 parallel_sort_index(&pool, &keys, m, b).map(drop),
                 parallel_argsort(&pool, &keys, m, b).map(drop),

@@ -16,9 +16,12 @@ use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints};
 use dqo::exec::sort::argsort;
 use dqo::exec::ExecError;
 use dqo::parallel::{
-    parallel_argsort, parallel_filter, parallel_grouping, parallel_hash_join, parallel_sog,
-    parallel_sort_merge_join, GroupingStrategy, Morsel, RunSortMolecule, ThreadPool,
+    hash_grouping_with_molecules, parallel_argsort, parallel_filter, parallel_grouping,
+    parallel_hash_join, parallel_sog, parallel_sort_merge_join, GroupingStrategy, Morsel,
+    RunSortMolecule, ThreadPool,
 };
+use dqo::plan::physical::GroupingMolecules;
+use dqo::plan::{HashFnMolecule, TableMolecule};
 use dqo::storage::datagen::{zipf_keys, DatasetSpec, ForeignKeySpec};
 use dqo::storage::Value;
 use dqo::{Dqo, OptimizerMode};
@@ -104,7 +107,7 @@ fn grouping_matches_serial_under_skew() {
         {
             let pool = ThreadPool::new(threads);
             for strategy in [
-                GroupingStrategy::Hash,
+                GroupingStrategy::Hash(GroupingMolecules::default()),
                 GroupingStrategy::StaticPerfectHash { min: 0, max: 127 },
             ] {
                 let (par, _) =
@@ -117,6 +120,105 @@ fn grouping_matches_serial_under_skew() {
             }
         }
     }
+}
+
+#[test]
+fn high_cardinality_hash_grouping_matches_serial_for_every_molecule() {
+    // Thousands of groups, so per-worker tables grow and probes collide:
+    // 16,384 keys spread over u32, and a Zipf head over 4,096 keys.
+    let n = 120_000;
+    let inputs = [
+        (
+            "sparse",
+            DatasetSpec::new(n, 16_384)
+                .dense(false)
+                .seed(0x5A)
+                .generate()
+                .unwrap(),
+        ),
+        ("zipf", zipf_keys(n, 4_096, 1.1, 0x21)),
+    ];
+    let values: Vec<u32> = (0..n as u32).map(|i| i % 997).collect();
+    let tables = [
+        TableMolecule::LinearProbing,
+        TableMolecule::RobinHood,
+        TableMolecule::Chaining,
+    ];
+    let hashes = [
+        HashFnMolecule::Identity,
+        HashFnMolecule::Fibonacci,
+        HashFnMolecule::Murmur3,
+    ];
+    for (name, keys) in &inputs {
+        for (table, hash) in tables.into_iter().flat_map(|t| hashes.map(|h| (t, h))) {
+            let molecules = GroupingMolecules {
+                table: Some(table),
+                hash: Some(hash),
+                load_loop: None,
+            };
+            let mut reference = hash_grouping_with_molecules(keys, &values, CountSum, molecules);
+            reference.sort_by_key();
+            for (threads, bounds) in THREAD_COUNTS
+                .into_iter()
+                .flat_map(|t| bounds_axis(n).map(|b| (t, b)))
+            {
+                let pool = ThreadPool::new(threads);
+                let (par, _) = parallel_grouping(
+                    &pool,
+                    keys,
+                    &values,
+                    CountSum,
+                    GroupingStrategy::Hash(molecules),
+                    &bounds,
+                    4096,
+                )
+                .unwrap();
+                assert_eq!(
+                    par, reference,
+                    "{name} {table:?}/{hash:?} threads={threads} bounds={bounds:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sparse_group_by_runs_the_planned_hg_molecule_in_parallel() {
+    // EXPLAIN at DOP 2 names the table/hash molecules of the Exchange-
+    // dispatched HG; parallel HG runs them and emits ascending keys, so
+    // its rows are the DOP-1 rows in canonical order, value for value.
+    let sql = "SELECT key, COUNT(*) AS n, SUM(key) AS s FROM sparse GROUP BY key";
+    let db_at = |threads| {
+        let mut db = Dqo::new();
+        db.engine_mut().set_threads(threads);
+        db.register_table(
+            "sparse",
+            DatasetSpec::new(250_000, 16_384)
+                .dense(false)
+                .seed(0x5A)
+                .relation()
+                .unwrap(),
+        );
+        db
+    };
+    let (serial, parallel) = (db_at(1), db_at(2));
+    let molecule = "table=linear-probing, hash=fibonacci";
+    let serial_plan = serial.explain(sql).unwrap();
+    assert!(
+        serial_plan.contains(&format!("HG γ[key] {{{molecule}, load=serial}}")),
+        "plan: {serial_plan}"
+    );
+    let parallel_plan = parallel.explain(sql).unwrap();
+    assert!(
+        parallel_plan.contains("Exchange dop=2")
+            && parallel_plan.contains(&format!("HG γ[key] {{{molecule}, load=parallel}}")),
+        "plan: {parallel_plan}"
+    );
+    let reference = serial.sql(sql).unwrap().output.relation;
+    let out = parallel.sql(sql).unwrap().output.relation;
+    let rows: Vec<Vec<Value>> = (0..out.rows()).map(|r| out.row(r).unwrap()).collect();
+    assert_eq!(rows.len(), 16_384);
+    assert_eq!(rows, sorted_rows(&reference));
 }
 
 #[test]
