@@ -3,11 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dqo_exec::aggregate::CountSum;
-use dqo_exec::grouping::hg::{
-    hash_grouping_chaining, hash_grouping_linear, hash_grouping_robin_hood,
-};
+use dqo_exec::grouping::hg::{hash_grouping, hash_grouping_chaining};
 use dqo_exec::grouping::sphg::sph_grouping;
 use dqo_hashtable::hash_fn::{Fibonacci, Identity, Murmur3Finalizer};
+use dqo_hashtable::{LinearProbingTable, RobinHoodTable};
 use dqo_storage::datagen::DatasetSpec;
 use std::hint::black_box;
 
@@ -32,34 +31,50 @@ fn molecules(c: &mut Criterion) {
     group.bench_function("linear+murmur3", |b| {
         b.iter(|| {
             black_box(
-                hash_grouping_linear(black_box(&keys), &keys, CountSum, GROUPS, Murmur3Finalizer)
-                    .len(),
+                hash_grouping(
+                    black_box(&keys),
+                    &keys,
+                    CountSum,
+                    LinearProbingTable::with_capacity_and_hasher(GROUPS, Murmur3Finalizer),
+                )
+                .len(),
             )
         })
     });
     group.bench_function("linear+fibonacci", |b| {
         b.iter(|| {
             black_box(
-                hash_grouping_linear(black_box(&keys), &keys, CountSum, GROUPS, Fibonacci).len(),
+                hash_grouping(
+                    black_box(&keys),
+                    &keys,
+                    CountSum,
+                    LinearProbingTable::with_capacity_and_hasher(GROUPS, Fibonacci),
+                )
+                .len(),
             )
         })
     });
     group.bench_function("linear+identity", |b| {
         b.iter(|| {
             black_box(
-                hash_grouping_linear(black_box(&keys), &keys, CountSum, GROUPS, Identity).len(),
+                hash_grouping(
+                    black_box(&keys),
+                    &keys,
+                    CountSum,
+                    LinearProbingTable::with_capacity_and_hasher(GROUPS, Identity),
+                )
+                .len(),
             )
         })
     });
     group.bench_function("robinhood+murmur3", |b| {
         b.iter(|| {
             black_box(
-                hash_grouping_robin_hood(
+                hash_grouping(
                     black_box(&keys),
                     &keys,
                     CountSum,
-                    GROUPS,
-                    Murmur3Finalizer,
+                    RobinHoodTable::with_capacity_and_hasher(GROUPS, Murmur3Finalizer),
                 )
                 .len(),
             )

@@ -10,11 +10,10 @@
 use dqo_bench::report::Table;
 use dqo_bench::Args;
 use dqo_exec::aggregate::CountSum;
-use dqo_exec::grouping::hg::{
-    hash_grouping_chaining, hash_grouping_linear, hash_grouping_quadratic, hash_grouping_robin_hood,
-};
+use dqo_exec::grouping::hg::{hash_grouping, hash_grouping_chaining};
 use dqo_exec::grouping::sphg::sph_grouping;
 use dqo_hashtable::hash_fn::{Fibonacci, Identity, Murmur3Finalizer};
+use dqo_hashtable::{LinearProbingTable, QuadraticProbingTable, RobinHoodTable};
 use dqo_storage::datagen::DatasetSpec;
 use std::time::Instant;
 
@@ -53,37 +52,93 @@ fn main() {
         (
             "linear-probing",
             "murmur3",
-            time(&|| hash_grouping_linear(&keys, &keys, CountSum, cap, Murmur3Finalizer).len()),
+            time(&|| {
+                hash_grouping(
+                    &keys,
+                    &keys,
+                    CountSum,
+                    LinearProbingTable::with_capacity_and_hasher(cap, Murmur3Finalizer),
+                )
+                .len()
+            }),
         ),
         (
             "linear-probing",
             "fibonacci",
-            time(&|| hash_grouping_linear(&keys, &keys, CountSum, cap, Fibonacci).len()),
+            time(&|| {
+                hash_grouping(
+                    &keys,
+                    &keys,
+                    CountSum,
+                    LinearProbingTable::with_capacity_and_hasher(cap, Fibonacci),
+                )
+                .len()
+            }),
         ),
         (
             "linear-probing",
             "identity",
-            time(&|| hash_grouping_linear(&keys, &keys, CountSum, cap, Identity).len()),
+            time(&|| {
+                hash_grouping(
+                    &keys,
+                    &keys,
+                    CountSum,
+                    LinearProbingTable::with_capacity_and_hasher(cap, Identity),
+                )
+                .len()
+            }),
         ),
         (
             "quadratic",
             "murmur3",
-            time(&|| hash_grouping_quadratic(&keys, &keys, CountSum, cap, Murmur3Finalizer).len()),
+            time(&|| {
+                hash_grouping(
+                    &keys,
+                    &keys,
+                    CountSum,
+                    QuadraticProbingTable::with_capacity_and_hasher(cap, Murmur3Finalizer),
+                )
+                .len()
+            }),
         ),
         (
             "quadratic",
             "fibonacci",
-            time(&|| hash_grouping_quadratic(&keys, &keys, CountSum, cap, Fibonacci).len()),
+            time(&|| {
+                hash_grouping(
+                    &keys,
+                    &keys,
+                    CountSum,
+                    QuadraticProbingTable::with_capacity_and_hasher(cap, Fibonacci),
+                )
+                .len()
+            }),
         ),
         (
             "robin-hood",
             "murmur3",
-            time(&|| hash_grouping_robin_hood(&keys, &keys, CountSum, cap, Murmur3Finalizer).len()),
+            time(&|| {
+                hash_grouping(
+                    &keys,
+                    &keys,
+                    CountSum,
+                    RobinHoodTable::with_capacity_and_hasher(cap, Murmur3Finalizer),
+                )
+                .len()
+            }),
         ),
         (
             "robin-hood",
             "fibonacci",
-            time(&|| hash_grouping_robin_hood(&keys, &keys, CountSum, cap, Fibonacci).len()),
+            time(&|| {
+                hash_grouping(
+                    &keys,
+                    &keys,
+                    CountSum,
+                    RobinHoodTable::with_capacity_and_hasher(cap, Fibonacci),
+                )
+                .len()
+            }),
         ),
         (
             "static perfect hash",

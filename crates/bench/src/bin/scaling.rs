@@ -1,6 +1,7 @@
 //! Parallel scaling harness: morsel-driven HJ and SPHG speedup over the
-//! serial kernels at thread counts 1/2/4/8, plus the HG-SPARSE/HG-ZIPF
-//! hash-grouping and FILTER/GATHER materialisation rows at DOP 2. Exits
+//! serial kernels at thread counts 1/2/4/8, plus the HG-SPARSE/HG-ZIPF/
+//! HG-SHIFTED hash-grouping and FILTER/GATHER materialisation rows at
+//! DOP 2. Exits
 //! non-zero if a checked parallel result differs from the serial one.
 //!
 //! ```text

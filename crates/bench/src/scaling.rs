@@ -1,20 +1,21 @@
 //! Parallel scaling study: morsel-driven HJ and SPHG versus the serial
 //! kernels, across thread counts — the measurement the `scaling` binary
 //! and criterion bench share, so future changes can track the trajectory.
-//! The HG-SPARSE and HG-ZIPF rows time high-cardinality and skewed hash
-//! grouping, and the FILTER and GATHER rows the row-materialisation path
+//! The HG-SPARSE, HG-ZIPF and HG-SHIFTED rows time high-cardinality,
+//! skewed and low-bit-structured hash grouping, and the FILTER and GATHER rows the row-materialisation path
 //! (mask → selection → gather), serially and at DOP 2, checking every
 //! parallel result against the serial one.
 
 use dqo_exec::aggregate::CountSum;
 use dqo_exec::composite::KeyPacker;
+use dqo_exec::grouping::hg::hash_grouping_with_molecules;
 use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo_exec::join::hj::hash_join;
 use dqo_exec::sort::argsort;
 use dqo_exec::ExecError;
 use dqo_parallel::{
-    hash_grouping_with_molecules, parallel_filter, parallel_gather, parallel_grouping,
-    parallel_hash_join, GroupingStrategy, PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS,
+    parallel_filter, parallel_gather, parallel_grouping, parallel_hash_join, GroupingStrategy,
+    PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS,
 };
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{HashFnMolecule, TableMolecule};
@@ -302,8 +303,9 @@ pub fn run(rows: usize, groups: usize, threads: &[usize], reps: usize) -> Vec<Sc
     out
 }
 
-/// The HG-SPARSE (16,384 keys spread over u32) and HG-ZIPF (4,096 keys,
-/// exponent 1.1) rows: serial HG against parallel HG at DOP 2, both on
+/// The HG-SPARSE (16,384 keys spread over u32), HG-ZIPF (4,096 keys,
+/// exponent 1.1) and HG-SHIFTED (8,192 keys `i << 12`, which share their
+/// low 12 bits) rows: serial HG against parallel HG at DOP 2, both on
 /// the linear-probing + Fibonacci molecules the optimiser plans for these
 /// inputs; the parallel result is checked against the serial one sorted.
 fn hash_grouping(rows: usize, reps: usize, out: &mut Vec<ScalingPoint>) {
@@ -319,7 +321,17 @@ fn hash_grouping(rows: usize, reps: usize, out: &mut Vec<ScalingPoint>) {
         .generate()
         .expect("datagen");
     let zipf = zipf_keys(rows, 4_096, 1.1, 0x21);
-    for (workload, keys) in [("HG-SPARSE", sparse), ("HG-ZIPF", zipf)] {
+    let shifted: Vec<u32> = DatasetSpec::new(rows, 8_192)
+        .generate()
+        .expect("datagen")
+        .into_iter()
+        .map(|k| k << 12)
+        .collect();
+    for (workload, keys) in [
+        ("HG-SPARSE", sparse),
+        ("HG-ZIPF", zipf),
+        ("HG-SHIFTED", shifted),
+    ] {
         let serial = || hash_grouping_with_molecules(&keys, &keys, CountSum, molecules);
         let parallel = || {
             parallel_grouping(
@@ -440,7 +452,7 @@ mod tests {
         // Per workload (SPHG, SPHG-2COL, PART-SPHG, HJ): serial baseline
         // + 2 thread counts; per HG input, FILTER selectivity and GATHER:
         // serial baseline + DOP 2.
-        assert_eq!(points.len(), 12 + 6 * 2);
+        assert_eq!(points.len(), 12 + 7 * 2);
         assert!(points
             .iter()
             .all(|p| p.millis.is_finite() && p.millis >= 0.0));
@@ -457,6 +469,7 @@ mod tests {
         for workload in [
             "HG-SPARSE",
             "HG-ZIPF",
+            "HG-SHIFTED",
             "FILTER-1%",
             "FILTER-62%",
             "FILTER-99%",

@@ -15,10 +15,10 @@ use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::Aggregator;
 use dqo_exec::bundle::{aggregate_bundle, aggregate_bundle_parallel, Bundle, GroupProducer};
+use dqo_exec::grouping::hg::{with_hash_molecules, WithGroupTable};
 use dqo_exec::grouping::GroupedResult;
 use dqo_exec::sort::radix_sort_pairs_by_key;
 use dqo_hashtable::{GroupTable, SortedArrayTable, StaticPerfectHash};
-use dqo_parallel::{with_hash_molecules, WithGroupTable};
 use dqo_plan::deep::{DeepPlan, Granule};
 use dqo_plan::physical::GroupingMolecules;
 use dqo_plan::{HashFnMolecule, LoopMolecule, SortMolecule, TableMolecule};

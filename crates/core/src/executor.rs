@@ -12,6 +12,7 @@ use crate::error::CoreError;
 use crate::Result;
 use dqo_exec::aggregate::{FullAgg, FullAggState};
 use dqo_exec::composite::{rowwise_group, unpack_grouped, KeyPacker};
+use dqo_exec::grouping::hg::hash_grouping_with_molecules;
 use dqo_exec::grouping::{
     check_lengths, execute_grouping, GroupedResult, GroupingAlgorithm, GroupingHints,
 };
@@ -20,10 +21,7 @@ use dqo_exec::pipeline::{
     grouping_blocking, join_blocking, Blocking, OperatorMetrics, PipelineStats,
 };
 use dqo_exec::sort::{argsort, radix_sort_pairs_by_key};
-use dqo_parallel::{
-    hash_grouping_with_molecules, BatchObs, GroupingStrategy, PersistentPool, ThreadPool,
-    DEFAULT_MORSEL_ROWS,
-};
+use dqo_parallel::{BatchObs, GroupingStrategy, PersistentPool, ThreadPool, DEFAULT_MORSEL_ROWS};
 use dqo_plan::expr::{AggExpr, AggFunc, Predicate};
 use dqo_plan::{GroupingImpl, JoinImpl, LogicalPlan, PhysicalPlan};
 use dqo_storage::{Column, DataType, Dictionary, Field, Relation, Schema, Value};

@@ -91,42 +91,30 @@ impl KeyPacker {
         self.spans.iter().product()
     }
 
-    /// Pack the key columns into one code column in a single pass over
-    /// the rows, checking every code against the `u32` domain. The
-    /// columns must be the ones the packer was fitted to (same
-    /// mins/spans).
+    /// Pack the key columns into one code column, one key column at a
+    /// time by Horner's scheme (`code · spanᵢ + (kᵢ - minᵢ)`), checking
+    /// every code against the `u32` domain. The columns must be the ones
+    /// the packer was fitted to (same mins/spans).
     pub fn pack(&self, columns: &[&[u32]]) -> Vec<u32> {
         assert_eq!(columns.len(), self.width());
-        let rows = columns.first().map_or(0, |c| c.len());
+        let rows = columns[0].len();
         assert!(
             columns.iter().all(|c| c.len() == rows),
             "key columns must have equal lengths"
         );
-        let code = |digits: u64| u32::try_from(digits).expect("fitted domain is within u32");
-        match *columns {
-            // The common composite key, zipped (the last stride is 1).
-            [first, second] => {
-                let (min0, min1, stride0) = (self.mins[0], self.mins[1], self.strides[0]);
-                first
-                    .iter()
-                    .zip(second)
-                    .map(|(&a, &b)| code(u64::from(a - min0) * stride0 + u64::from(b - min1)))
-                    .collect()
+        let mut codes: Vec<u32> = columns[0].iter().map(|&v| v - self.mins[0]).collect();
+        for ((col, &min), &span) in columns.iter().zip(&self.mins).zip(&self.spans).skip(1) {
+            // Branch-free per code so the loop vectorises; a code that
+            // leaves u32 fails the column's check.
+            let mut fits = true;
+            for (code, &v) in codes.iter_mut().zip(*col) {
+                let next = u64::from(*code) * span + u64::from(v - min);
+                fits &= next <= u64::from(u32::MAX);
+                *code = next as u32;
             }
-            _ => (0..rows)
-                .map(|row| {
-                    code(
-                        columns
-                            .iter()
-                            .zip(&self.mins)
-                            .zip(&self.strides)
-                            .fold(0, |acc, ((col, &min), &stride)| {
-                                acc + u64::from(col[row] - min) * stride
-                            }),
-                    )
-                })
-                .collect(),
+            assert!(fits, "fitted domain is within u32");
         }
+        codes
     }
 
     /// Unpack one code back into its key tuple.

@@ -9,13 +9,18 @@
 //! growth visible in Figure 4). [`hash_grouping`] is generic over any
 //! [`GroupTable`] so the DQO molecule ablation (E9) can swap the table
 //! implementation and hash function without touching the operator.
+//! [`with_hash_molecules`] maps the optimiser's table/hash decision
+//! ([`GroupingMolecules`]) to one of those tables; serial HG, parallel HG
+//! and the deep-plan interpreter all dispatch through it.
 
 use crate::aggregate::Aggregator;
 use crate::grouping::GroupedResult;
 use dqo_hashtable::{
-    ChainingTable, GroupTable, HashFn, LinearProbingTable, Murmur3Finalizer, QuadraticProbingTable,
+    ChainingTable, Fibonacci, GroupTable, Identity, LinearProbingTable, Murmur3Finalizer,
     RobinHoodTable,
 };
+pub use dqo_plan::physical::GroupingMolecules;
+use dqo_plan::{HashFnMolecule, TableMolecule};
 
 /// Hash grouping over any key→state table — the operator is one loop; the
 /// *table* is the DQO decision.
@@ -58,52 +63,85 @@ pub fn hash_grouping_chaining<A: Aggregator>(
     hash_grouping(keys, values, agg, ChainingTable::with_capacity(capacity))
 }
 
-/// Molecule ablation: HG over linear probing with a chosen hash function.
-pub fn hash_grouping_linear<A: Aggregator, H: HashFn>(
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    capacity: usize,
-    hash: H,
-) -> GroupedResult<A::State> {
-    hash_grouping(
-        keys,
-        values,
-        agg,
-        LinearProbingTable::with_capacity_and_hasher(capacity, hash),
-    )
+/// Initial capacity of every molecule-dispatched HG table; tables grow
+/// from there.
+const HG_TABLE_CAPACITY: usize = 1024;
+
+/// A computation over one concrete [`GroupTable`] type — what
+/// [`with_hash_molecules`] hands the chosen table's constructor to.
+pub trait WithGroupTable<V> {
+    /// The computation's result.
+    type Output;
+
+    /// Run with `new_table`, which creates an empty table of the chosen
+    /// molecules each time it is called.
+    fn run<T: GroupTable<V> + Send>(self, new_table: impl Fn() -> T + Sync) -> Self::Output;
 }
 
-/// Molecule ablation: HG over quadratic probing with a chosen hash function.
-pub fn hash_grouping_quadratic<A: Aggregator, H: HashFn>(
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    capacity: usize,
-    hash: H,
-) -> GroupedResult<A::State> {
-    hash_grouping(
-        keys,
-        values,
-        agg,
-        QuadraticProbingTable::with_capacity_and_hasher(capacity, hash),
-    )
+/// The one HG molecule dispatch: run `f` over the table/hash pair the
+/// optimiser picked, so what EXPLAIN prints is what serial HG, parallel
+/// HG (`dqo-parallel`) and the deep-plan interpreter all execute.
+/// Combinations without a table or hash decision fall back to the
+/// paper's chaining + Murmur3 default.
+pub fn with_hash_molecules<V: Send, F: WithGroupTable<V>>(
+    molecules: GroupingMolecules,
+    f: F,
+) -> F::Output {
+    use HashFnMolecule as H;
+    use TableMolecule as T;
+    let cap = HG_TABLE_CAPACITY;
+    match (molecules.table, molecules.hash) {
+        (Some(T::LinearProbing), Some(H::Identity)) => {
+            f.run(|| LinearProbingTable::with_capacity_and_hasher(cap, Identity))
+        }
+        (Some(T::LinearProbing), Some(H::Fibonacci)) => {
+            f.run(|| LinearProbingTable::with_capacity_and_hasher(cap, Fibonacci))
+        }
+        (Some(T::LinearProbing), Some(H::Murmur3)) => {
+            f.run(|| LinearProbingTable::with_capacity_and_hasher(cap, Murmur3Finalizer))
+        }
+        (Some(T::RobinHood), Some(H::Identity)) => {
+            f.run(|| RobinHoodTable::with_capacity_and_hasher(cap, Identity))
+        }
+        (Some(T::RobinHood), Some(H::Fibonacci)) => {
+            f.run(|| RobinHoodTable::with_capacity_and_hasher(cap, Fibonacci))
+        }
+        (Some(T::RobinHood), Some(H::Murmur3)) => {
+            f.run(|| RobinHoodTable::with_capacity_and_hasher(cap, Murmur3Finalizer))
+        }
+        (Some(T::Chaining), Some(H::Identity)) => {
+            f.run(|| ChainingTable::with_capacity_and_hasher(cap, Identity))
+        }
+        (Some(T::Chaining), Some(H::Fibonacci)) => {
+            f.run(|| ChainingTable::with_capacity_and_hasher(cap, Fibonacci))
+        }
+        _ => f.run(|| ChainingTable::with_capacity_and_hasher(cap, Murmur3Finalizer)),
+    }
 }
 
-/// Molecule ablation: HG over Robin-Hood with a chosen hash function.
-pub fn hash_grouping_robin_hood<A: Aggregator, H: HashFn>(
+/// Serial HG on the given molecules: one table, every row upserted in
+/// input order. The output order is the table's drain order (unsorted).
+pub fn hash_grouping_with_molecules<A: Aggregator>(
     keys: &[u32],
     values: &[u32],
     agg: A,
-    capacity: usize,
-    hash: H,
+    molecules: GroupingMolecules,
 ) -> GroupedResult<A::State> {
-    hash_grouping(
-        keys,
-        values,
-        agg,
-        RobinHoodTable::with_capacity_and_hasher(capacity, hash),
-    )
+    struct Serial<'a, A> {
+        keys: &'a [u32],
+        values: &'a [u32],
+        agg: A,
+    }
+    impl<A: Aggregator> WithGroupTable<A::State> for Serial<'_, A> {
+        type Output = GroupedResult<A::State>;
+        fn run<T: GroupTable<A::State> + Send>(
+            self,
+            new_table: impl Fn() -> T + Sync,
+        ) -> Self::Output {
+            hash_grouping(self.keys, self.values, self.agg, new_table())
+        }
+    }
+    with_hash_molecules(molecules, Serial { keys, values, agg })
 }
 
 /// The paper's default molecule for HG, re-exported for plan rendering.
@@ -113,7 +151,7 @@ pub type DefaultHash = Murmur3Finalizer;
 mod tests {
     use super::*;
     use crate::aggregate::{CountSum, FullAgg};
-    use dqo_hashtable::hash_fn::Fibonacci;
+    use dqo_hashtable::QuadraticProbingTable;
 
     fn sorted_triples(r: GroupedResult<crate::aggregate::CountSumState>) -> Vec<(u32, u64, u64)> {
         let mut r = r;
@@ -160,26 +198,54 @@ mod tests {
         let keys: Vec<u32> = (0..5_000).map(|i| (i * 7919) % 257).collect();
         let vals: Vec<u32> = (0..5_000).map(|i| i % 100).collect();
         let a = sorted_triples(hash_grouping_chaining(&keys, &vals, CountSum, 257));
-        let b = sorted_triples(hash_grouping_linear(
+        let b = sorted_triples(hash_grouping(
             &keys,
             &vals,
             CountSum,
-            257,
-            Murmur3Finalizer,
+            LinearProbingTable::with_capacity_and_hasher(257, Murmur3Finalizer),
         ));
-        let c = sorted_triples(hash_grouping_robin_hood(
-            &keys, &vals, CountSum, 257, Fibonacci,
-        ));
-        let d = sorted_triples(hash_grouping_quadratic(
+        let c = sorted_triples(hash_grouping(
             &keys,
             &vals,
             CountSum,
-            257,
-            Murmur3Finalizer,
+            RobinHoodTable::with_capacity_and_hasher(257, Fibonacci),
+        ));
+        let d = sorted_triples(hash_grouping(
+            &keys,
+            &vals,
+            CountSum,
+            QuadraticProbingTable::with_capacity_and_hasher(257, Murmur3Finalizer),
         ));
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(a, d);
+    }
+
+    #[test]
+    fn every_molecule_dispatch_agrees_with_the_paper_hg() {
+        let keys: Vec<u32> = (0..5_000u32).map(|i| (i % 3_001) << 12).collect();
+        let vals: Vec<u32> = (0..5_000).map(|i| i % 100).collect();
+        let paper = sorted_triples(hash_grouping_chaining(&keys, &vals, CountSum, 16));
+        for table in [
+            TableMolecule::LinearProbing,
+            TableMolecule::RobinHood,
+            TableMolecule::Chaining,
+        ] {
+            for hash in [
+                None,
+                Some(HashFnMolecule::Identity),
+                Some(HashFnMolecule::Fibonacci),
+                Some(HashFnMolecule::Murmur3),
+            ] {
+                let molecules = GroupingMolecules {
+                    table: Some(table),
+                    hash,
+                    load_loop: None,
+                };
+                let r = hash_grouping_with_molecules(&keys, &vals, CountSum, molecules);
+                assert_eq!(sorted_triples(r), paper, "{molecules:?}");
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl<V, H: HashFn> ChainingTable<V, H> {
 
     #[inline(always)]
     fn bucket_of(&self, key: u32) -> usize {
-        (self.hash.hash(key) as usize) & (self.buckets.len() - 1)
+        self.hash.slot(key, self.buckets.len() - 1)
     }
 
     fn grow(&mut self) {
@@ -68,7 +68,7 @@ impl<V, H: HashFn> ChainingTable<V, H> {
         for mut chain in old.into_iter() {
             while let Some(mut node) = chain {
                 chain = node.next.take();
-                let idx = (self.hash.hash(node.key) as usize) & (new_cap - 1);
+                let idx = self.hash.slot(node.key, new_cap - 1);
                 node.next = self.buckets[idx].take();
                 self.buckets[idx] = Some(node);
             }

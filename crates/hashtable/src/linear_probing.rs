@@ -56,12 +56,12 @@ impl<V, H: HashFn> LinearProbingTable<V, H> {
     fn grow(&mut self) {
         let new_cap = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
-        for slot in old.into_iter().flatten() {
-            let mut i = (self.hash.hash(slot.0) as usize) & (new_cap - 1);
+        for entry in old.into_iter().flatten() {
+            let mut i = self.hash.slot(entry.0, new_cap - 1);
             while self.slots[i].is_some() {
                 i = (i + 1) & (new_cap - 1);
             }
-            self.slots[i] = Some(slot);
+            self.slots[i] = Some(entry);
         }
     }
 
@@ -69,7 +69,7 @@ impl<V, H: HashFn> LinearProbingTable<V, H> {
     #[inline(always)]
     fn probe(&self, key: u32) -> usize {
         let mask = self.mask();
-        let mut i = (self.hash.hash(key) as usize) & mask;
+        let mut i = self.hash.slot(key, mask);
         loop {
             match &self.slots[i] {
                 Some((k, _)) if *k == key => return i,

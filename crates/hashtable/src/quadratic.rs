@@ -56,7 +56,7 @@ impl<V, H: HashFn> QuadraticProbingTable<V, H> {
     #[inline(always)]
     fn probe(&self, key: u32) -> usize {
         let mask = self.slots.len() - 1;
-        let mut i = (self.hash.hash(key) as usize) & mask;
+        let mut i = self.hash.slot(key, mask);
         let mut step = 0usize;
         loop {
             match &self.slots[i] {

@@ -62,7 +62,7 @@ impl<V, H: HashFn> RobinHoodTable<V, H> {
 
     fn find(&self, key: u32) -> Option<usize> {
         let mask = self.mask();
-        let mut i = (self.hash.hash(key) as usize) & mask;
+        let mut i = self.hash.slot(key, mask);
         let mut dib = 0u32;
         loop {
             match &self.slots[i] {
@@ -92,7 +92,7 @@ impl<V, H: HashFn> RobinHoodTable<V, H> {
     fn insert_entry(&mut self, key: u32, value: V) -> usize {
         let mask = self.mask();
         let mut carry = Entry { key, value, dib: 0 };
-        let mut i = (self.hash.hash(carry.key) as usize) & mask;
+        let mut i = self.hash.slot(carry.key, mask);
         let mut our_slot: Option<usize> = None;
         let our_key = key;
         loop {

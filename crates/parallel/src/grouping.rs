@@ -4,8 +4,9 @@
 //! Every worker folds the morsels it executes into one thread-local
 //! structure — the same *molecule* the serial engine runs: for HG the
 //! table/hash pair the optimiser chose ([`GroupingMolecules`], dispatched
-//! by [`with_hash_molecules`], which serial HG shares), for SPHG the dense
-//! SPH array — and the partial states are merged once at the end.
+//! by `dqo-exec`'s [`with_hash_molecules`], which serial HG shares), for
+//! SPHG the dense SPH array — and the partial states are merged once at
+//! the end.
 //! Correctness rests on the aggregate being decomposable
 //! ([`Aggregator::IS_DECOMPOSABLE`]): per-key partial states over a
 //! disjoint row partition merge to the same final state regardless of how
@@ -15,14 +16,12 @@
 use crate::morsel::{check_bounds, morsels_within, Morsel};
 use crate::pool::ThreadPool;
 use dqo_exec::aggregate::Aggregator;
-use dqo_exec::grouping::{check_lengths, hg, GroupedResult};
+use dqo_exec::grouping::hg::{with_hash_molecules, GroupingMolecules, WithGroupTable};
+use dqo_exec::grouping::{check_lengths, GroupedResult};
 use dqo_exec::pipeline::{Blocking, PipelineStats};
 use dqo_exec::sort::radix_sort_pairs_by_key;
 use dqo_exec::ExecError;
-use dqo_hashtable::hash_fn::{Fibonacci, Identity, Murmur3Finalizer};
-use dqo_hashtable::{ChainingTable, GroupTable, LinearProbingTable, RobinHoodTable};
-use dqo_plan::physical::GroupingMolecules;
-use dqo_plan::{HashFnMolecule, TableMolecule};
+use dqo_hashtable::GroupTable;
 
 /// Which thread-local structure each worker aggregates into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,86 +37,6 @@ pub enum GroupingStrategy {
         /// Largest key of the dense domain.
         max: u32,
     },
-}
-
-/// Initial capacity of every HG table; tables grow from there.
-const HG_TABLE_CAPACITY: usize = 1024;
-
-/// A computation over one concrete [`GroupTable`] type — what
-/// [`with_hash_molecules`] hands the chosen table's constructor to.
-pub trait WithGroupTable<V> {
-    /// The computation's result.
-    type Output;
-
-    /// Run with `new_table`, which creates an empty table of the chosen
-    /// molecules each time it is called.
-    fn run<T: GroupTable<V> + Send>(self, new_table: impl Fn() -> T + Sync) -> Self::Output;
-}
-
-/// The one HG molecule dispatch: run `f` over the table/hash pair the
-/// optimiser picked (`dqo-core::molecule`), so what EXPLAIN prints is what
-/// serial HG, parallel HG and the deep-plan interpreter all execute.
-/// Combinations without a table or hash decision fall back to the
-/// paper's chaining + Murmur3 default.
-pub fn with_hash_molecules<V: Send, F: WithGroupTable<V>>(
-    molecules: GroupingMolecules,
-    f: F,
-) -> F::Output {
-    use HashFnMolecule as H;
-    use TableMolecule as T;
-    let cap = HG_TABLE_CAPACITY;
-    match (molecules.table, molecules.hash) {
-        (Some(T::LinearProbing), Some(H::Identity)) => {
-            f.run(|| LinearProbingTable::with_capacity_and_hasher(cap, Identity))
-        }
-        (Some(T::LinearProbing), Some(H::Fibonacci)) => {
-            f.run(|| LinearProbingTable::with_capacity_and_hasher(cap, Fibonacci))
-        }
-        (Some(T::LinearProbing), Some(H::Murmur3)) => {
-            f.run(|| LinearProbingTable::with_capacity_and_hasher(cap, Murmur3Finalizer))
-        }
-        (Some(T::RobinHood), Some(H::Identity)) => {
-            f.run(|| RobinHoodTable::with_capacity_and_hasher(cap, Identity))
-        }
-        (Some(T::RobinHood), Some(H::Fibonacci)) => {
-            f.run(|| RobinHoodTable::with_capacity_and_hasher(cap, Fibonacci))
-        }
-        (Some(T::RobinHood), Some(H::Murmur3)) => {
-            f.run(|| RobinHoodTable::with_capacity_and_hasher(cap, Murmur3Finalizer))
-        }
-        (Some(T::Chaining), Some(H::Identity)) => {
-            f.run(|| ChainingTable::with_capacity_and_hasher(cap, Identity))
-        }
-        (Some(T::Chaining), Some(H::Fibonacci)) => {
-            f.run(|| ChainingTable::with_capacity_and_hasher(cap, Fibonacci))
-        }
-        _ => f.run(|| ChainingTable::with_capacity_and_hasher(cap, Murmur3Finalizer)),
-    }
-}
-
-/// Serial HG on the given molecules: one table, every row upserted in
-/// input order. The output order is the table's drain order (unsorted).
-pub fn hash_grouping_with_molecules<A: Aggregator>(
-    keys: &[u32],
-    values: &[u32],
-    agg: A,
-    molecules: GroupingMolecules,
-) -> GroupedResult<A::State> {
-    struct Serial<'a, A> {
-        keys: &'a [u32],
-        values: &'a [u32],
-        agg: A,
-    }
-    impl<A: Aggregator> WithGroupTable<A::State> for Serial<'_, A> {
-        type Output = GroupedResult<A::State>;
-        fn run<T: GroupTable<A::State> + Send>(
-            self,
-            new_table: impl Fn() -> T + Sync,
-        ) -> Self::Output {
-            hg::hash_grouping(self.keys, self.values, self.agg, new_table())
-        }
-    }
-    with_hash_molecules(molecules, Serial { keys, values, agg })
 }
 
 /// Parallel grouping of `keys`/`values` under `agg`.
@@ -319,7 +238,9 @@ mod tests {
     use super::*;
     use crate::morsel::DEFAULT_MORSEL_ROWS;
     use dqo_exec::aggregate::CountSum;
+    use dqo_exec::grouping::hg::hash_grouping_with_molecules;
     use dqo_exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
+    use dqo_plan::{HashFnMolecule, TableMolecule};
 
     fn dataset(n: usize, groups: u32) -> (Vec<u32>, Vec<u32>) {
         let keys: Vec<u32> = (0..n)

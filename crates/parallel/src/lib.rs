@@ -74,10 +74,7 @@ pub mod sort;
 
 pub use admission::{AdmissionController, AdmissionPermit};
 pub use av_build::parallel_sph_index_build;
-pub use grouping::{
-    hash_grouping_with_molecules, parallel_grouping, with_hash_molecules, GroupingStrategy,
-    WithGroupTable,
-};
+pub use grouping::{parallel_grouping, GroupingStrategy};
 pub use join::{parallel_hash_join, parallel_sph_join};
 pub use morsel::{check_bounds, morsels, morsels_within, Morsel, DEFAULT_MORSEL_ROWS};
 pub use persistent::{default_threads, BatchHandle, PersistentPool};

@@ -9,6 +9,7 @@ use dqo::core::avsp::{self, Solver, WorkloadQuery};
 use dqo::core::executor::sorted_rows;
 use dqo::core::ExecContext;
 use dqo::exec::aggregate::CountSum;
+use dqo::exec::grouping::hg::hash_grouping_with_molecules;
 use dqo::exec::grouping::sog::sort_order_grouping;
 use dqo::exec::grouping::{execute_grouping, GroupingAlgorithm, GroupingHints};
 use dqo::exec::join::soj::sort_merge_join;
@@ -16,9 +17,8 @@ use dqo::exec::join::{execute_join, JoinAlgorithm, JoinHints};
 use dqo::exec::sort::argsort;
 use dqo::exec::ExecError;
 use dqo::parallel::{
-    hash_grouping_with_molecules, parallel_argsort, parallel_filter, parallel_grouping,
-    parallel_hash_join, parallel_sog, parallel_sort_merge_join, GroupingStrategy, Morsel,
-    RunSortMolecule, ThreadPool,
+    parallel_argsort, parallel_filter, parallel_grouping, parallel_hash_join, parallel_sog,
+    parallel_sort_merge_join, GroupingStrategy, Morsel, RunSortMolecule, ThreadPool,
 };
 use dqo::plan::physical::GroupingMolecules;
 use dqo::plan::{HashFnMolecule, TableMolecule};
